@@ -115,13 +115,12 @@ def participation_ratio(weights) -> float:
 
 def level_shift_stats(couplings: CouplingSet, model: DisorderModel) -> LevelShiftStats:
     """Spread of each sorted eigenvalue across the disorder ensemble."""
-    omega0 = eigvalsh_tridiagonal(-couplings.fields, couplings.couplings)
+    zeros = np.zeros(couplings.n_sites)
+    omega0 = eigvalsh_tridiagonal(zeros, couplings.couplings)
     deviations = np.empty((model.n_realizations, omega0.size))
     for r in range(model.n_realizations):
         perturbed = perturb_couplings(couplings, model, r)
-        deviations[r] = (
-            eigvalsh_tridiagonal(-perturbed.fields, perturbed.couplings) - omega0
-        )
+        deviations[r] = eigvalsh_tridiagonal(zeros, perturbed.couplings) - omega0
     omega_max = float(np.max(np.abs(omega0)))
     return LevelShiftStats(
         std=np.sqrt(np.mean(deviations**2, axis=0)),

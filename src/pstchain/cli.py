@@ -1,11 +1,15 @@
 """Command-line pipeline: design chains, simulate transfer, run ensembles.
 
-Each subcommand writes one CSV table with a JSON metadata preamble carrying
-the full resolved parameter set (including seeds and the RNG scheme), so any
-output file can be regenerated bit-identically from its own header.
+Each subcommand computes one table and writes it as CSV with a JSON metadata
+preamble carrying the full resolved parameter set (including seeds and the
+RNG scheme), so any output file can be regenerated bit-identically from its
+own header.  Each `*_table` function renders one table from a designed chain
+and `p`, the family part of its header; `reproduce` designs each standard
+family once and renders its nine tables with the same functions.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure
-(incommensurate spectrum or unstable reconstruction).
+Exit codes: 0 success, 2 configuration error (including an output path that
+cannot be written), 3 numerical failure (incommensurate spectrum, unstable
+reconstruction, no read-out window or no echo).
 """
 
 from __future__ import annotations
@@ -39,9 +43,12 @@ from .errors import (
     NoWindowError,
     ReconstructionUnstableError,
 )
-from .pipeline import design_chain
-from .spectra import FAMILIES, SpectrumSpec, commensurate_adjust, generate_spectrum, max_relative_change, pst_time
-from .tableio import render_table, write_table
+from .pipeline import STANDARD_FAMILIES, DesignedChain, design_chain
+from .spectra import (
+    BASE_SEARCH_TOLERANCE, FAMILIES, SpectrumSpec, commensurate_adjust, generate_spectrum,
+    max_relative_change, pst_time,
+)
+from .tableio import render_table
 
 THREADS_ENV_VAR = "PSTCHAIN_THREADS"
 
@@ -64,6 +71,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # handlers touch the file system only to write output
+        print(f"configuration error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_OK
 
@@ -150,7 +160,7 @@ def _add_family_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--base-search-tolerance",
         type=float,
-        default=1e-4,
+        default=BASE_SEARCH_TOLERANCE,
         help="scan resolution of the commensuration search (default 1e-4)",
     )
 
@@ -165,234 +175,208 @@ def _threads(args) -> int:
     return max(1, int(os.environ.get(THREADS_ENV_VAR, "1")))
 
 
-def _emit(args, metadata: dict, columns: list[str], rows) -> None:
-    if args.out is None:
-        sys.stdout.write(render_table(metadata, columns, rows))
-    else:
-        write_table(args.out, metadata, columns, rows)
+def _write(path, text: str) -> None:
+    """Write a rendered table to `path`, or to stdout when it is None."""
+    if path is None:
+        sys.stdout.write(text)
+        return
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
 
 
-def _metadata(command: str, params: dict, results: dict | None = None) -> dict:
+def _metadata(command: str, params: dict, results: dict) -> dict:
     meta = {"tool": "pstchain", "version": __version__, "command": command, "params": params}
-    if results:
-        meta["results"] = results
-    return meta
+    return meta | {"results": results}
 
 
-def _family_params(args) -> dict:
+def _family_params(family, alpha, n, amplitude=1.0, base_search_tolerance=BASE_SEARCH_TOLERANCE) -> dict:
     return {
-        "family": args.family,
-        "alpha": args.alpha,
-        "n": args.n,
-        "amplitude": args.amplitude,
-        "base_search_tolerance": args.base_search_tolerance,
+        "family": family,
+        "alpha": alpha,
+        "n": n,
+        "amplitude": amplitude,
+        "base_search_tolerance": base_search_tolerance,
     }
 
 
-def cmd_spectrum(args) -> None:
+def _parsed_family(args) -> dict:
+    return _family_params(args.family, args.alpha, args.n, args.amplitude, args.base_search_tolerance)
+
+
+def _design(p: dict, normalize: bool = True) -> DesignedChain:
+    return design_chain(
+        p["n"], p["family"], p["alpha"], p["amplitude"],
+        normalize=normalize, base_search_tolerance=p["base_search_tolerance"],
+    )
+
+
+def _disorder_params(model: DisorderModel) -> dict:
+    return {
+        "eps": model.epsilon,
+        "nav": model.n_realizations,
+        "base_seed": model.base_seed,
+        "rng_algorithm_id": RNG_ALGORITHM_ID,
+    }
+
+
+def _chain_results(chain: DesignedChain) -> dict:
+    return {"t_pst": chain.t_pst, "gamma": chain.gamma}
+
+
+def _grid_points(periods: float, points_per_period: int) -> int:
+    if not 0 < periods < np.inf or points_per_period < 2:
+        raise ValueError("periods must be positive and points-per-period >= 2")
+    return int(round(periods * points_per_period)) + 1
+
+
+def spectrum_table(p: dict, no_adjust: bool = False) -> str:
     spec = SpectrumSpec(
-        n_sites=args.n, family=args.family, exponent=args.alpha, amplitude=args.amplitude
+        n_sites=p["n"], family=p["family"], exponent=p["alpha"], amplitude=p["amplitude"]
     )
     raw = generate_spectrum(spec)
-    if args.no_adjust:
+    if no_adjust:
         timing = pst_time(raw)
         spectrum, adjustment = raw, 0.0
     else:
-        spectrum, timing = commensurate_adjust(raw, args.base_search_tolerance)
+        spectrum, timing = commensurate_adjust(raw, p["base_search_tolerance"])
         adjustment = max_relative_change(raw, spectrum)
-    params = _family_params(args) | {"no_adjust": bool(args.no_adjust)}
+    params = p | {"no_adjust": no_adjust}
     results = {
         "t_pst": timing.t_pst,
         "odd_multipliers": timing.odd_multipliers,
         "max_adjustment_rel": adjustment,
     }
     rows = [(k + 1, v) for k, v in enumerate(spectrum.values)]
-    _emit(args, _metadata("spectrum", params, results), ["level_index", "energy"], rows)
+    return render_table(_metadata("spectrum", params, results), ["level_index", "energy"], rows)
 
 
-def cmd_chain(args) -> None:
-    chain = design_chain(
-        n_sites=args.n,
-        family=args.family,
-        exponent=args.alpha,
-        amplitude=args.amplitude,
-        normalize=not args.no_normalize,
-        base_search_tolerance=args.base_search_tolerance,
-    )
-    params = _family_params(args) | {"normalize": not args.no_normalize}
+def chain_table(chain: DesignedChain, p: dict, normalize: bool = True) -> str:
+    params = p | {"normalize": normalize}
+    j = chain.couplings.couplings
+    j_max = chain.couplings.j_max
     results = {
         "t_pst": chain.t_pst,
         "gamma": chain.gamma,
-        "j_max": chain.couplings.j_max,
+        "j_max": j_max,
         "residual": chain.residual,
         "max_adjustment_rel": chain.max_adjustment,
     }
-    j = chain.couplings.couplings
-    j_max = chain.couplings.j_max
     rows = [(i + 1, j[i], j[i] / j_max, chain.residual) for i in range(j.size)]
-    _emit(
-        args,
+    return render_table(
         _metadata("chain", params, results),
         ["bond_index", "coupling", "coupling_over_jmax", "residual"],
         rows,
     )
 
 
-def cmd_simulate(args) -> None:
-    chain = design_chain(
-        args.n, args.family, args.alpha, args.amplitude,
-        base_search_tolerance=args.base_search_tolerance,
-    )
-    if args.periods <= 0 or args.points_per_period < 2:
-        raise ValueError("periods must be positive and points-per-period >= 2")
-    n_points = int(round(args.periods * args.points_per_period)) + 1
-    trace = fidelity_trace(diagonalize(chain.couplings), 0.0, args.periods * chain.t_pst, n_points)
-    params = _family_params(args) | {
-        "periods": args.periods, "points_per_period": args.points_per_period,
-    }
-    results = {"t_pst": chain.t_pst, "gamma": chain.gamma}
+def simulate_table(chain: DesignedChain, p: dict, periods: float, points_per_period: int) -> str:
+    n_points = _grid_points(periods, points_per_period)
+    trace = fidelity_trace(diagonalize(chain.couplings), 0.0, periods * chain.t_pst, n_points)
+    params = p | {"periods": periods, "points_per_period": points_per_period}
     rows = zip(trace.times, trace.times / chain.t_pst, trace.amplitude_abs, trace.fidelity)
-    _emit(
-        args,
-        _metadata("simulate", params, results),
+    return render_table(
+        _metadata("simulate", params, _chain_results(chain)),
         ["time", "time_over_tpst", "amplitude_abs", "fidelity"],
         rows,
     )
 
 
-def cmd_ensemble(args) -> None:
-    if args.echoes is not None and args.sweep is not None:
-        raise ValueError("--echoes and --sweep are mutually exclusive")
-    chain = design_chain(
-        args.n, args.family, args.alpha, args.amplitude,
-        base_search_tolerance=args.base_search_tolerance,
-    )
-    workers = _threads(args)
-    params = _family_params(args) | {
-        "eps": args.eps,
-        "nav": args.nav,
-        "base_seed": args.seed,
-        "rng_algorithm_id": RNG_ALGORITHM_ID,
-    }
-    results = {"t_pst": chain.t_pst, "gamma": chain.gamma}
-
-    if args.sweep is not None:
-        strengths = [float(tok) for tok in args.sweep.split(",") if tok.strip()]
-        if not strengths:
-            raise ValueError("--sweep needs at least one strength")
-        table = fidelity_vs_strength(
-            chain.couplings, strengths, args.nav, args.seed, n_workers=workers
-        )
-        params["sweep"] = strengths
-        _emit(
-            args,
-            _metadata("ensemble", params, results),
-            ["epsilon", "mean_fidelity", "std_error"],
-            table,
-        )
-        return
-
-    model = DisorderModel(epsilon=args.eps, n_realizations=args.nav, base_seed=args.seed)
-    if args.echoes is not None:
-        res = echo_decay(chain.couplings, model, args.echoes, n_workers=workers)
-        params["echoes"] = args.echoes
-        rows = [
-            (i + 1, res.times[i], res.mean_fidelity[i], res.std_error[i])
-            for i in range(res.times.size)
-        ]
-        _emit(
-            args,
-            _metadata("ensemble", params, results),
-            ["echo_index", "time", "mean_fidelity", "std_error"],
-            rows,
-        )
-        return
-
-    if args.periods <= 0 or args.points_per_period < 2:
-        raise ValueError("periods must be positive and points-per-period >= 2")
-    n_points = int(round(args.periods * args.points_per_period)) + 1
-    times = np.linspace(0.0, args.periods * chain.t_pst, n_points)
+def ensemble_trace_table(
+    chain: DesignedChain, p: dict, model: DisorderModel,
+    periods: float, points_per_period: int, workers: int,
+) -> str:
+    times = np.linspace(0.0, periods * chain.t_pst, _grid_points(periods, points_per_period))
     res = run_ensemble(chain.couplings, model, times, n_workers=workers)
-    params |= {"periods": args.periods, "points_per_period": args.points_per_period}
+    params = p | _disorder_params(model) | {
+        "periods": periods, "points_per_period": points_per_period,
+    }
     rows = zip(res.times, res.times / chain.t_pst, res.mean_fidelity, res.std_error)
-    _emit(
-        args,
-        _metadata("ensemble", params, results),
+    return render_table(
+        _metadata("ensemble", params, _chain_results(chain)),
         ["time", "time_over_tpst", "mean_fidelity", "std_error"],
         rows,
     )
 
 
-def cmd_analyze(args) -> None:
-    chain = design_chain(
-        args.n, args.family, args.alpha, args.amplitude,
-        base_search_tolerance=args.base_search_tolerance,
+def echoes_table(
+    chain: DesignedChain, p: dict, model: DisorderModel, echoes: int, workers: int
+) -> str:
+    res = echo_decay(chain.couplings, model, echoes, n_workers=workers)
+    params = p | _disorder_params(model) | {"echoes": echoes}
+    rows = zip(range(1, res.times.size + 1), res.times, res.mean_fidelity, res.std_error)
+    return render_table(
+        _metadata("ensemble", params, _chain_results(chain)),
+        ["echo_index", "time", "mean_fidelity", "std_error"],
+        rows,
     )
+
+
+def sweep_table(
+    chain: DesignedChain, p: dict, model: DisorderModel, strengths: list[float], workers: int
+) -> str:
+    """Mean fidelity at t_pst per strength; model.epsilon is only recorded."""
+    if not strengths:
+        raise ValueError("--sweep needs at least one strength")
+    rows = fidelity_vs_strength(
+        chain.couplings, strengths, model.n_realizations, model.base_seed, n_workers=workers
+    )
+    params = p | _disorder_params(model) | {"sweep": strengths}
+    return render_table(
+        _metadata("ensemble", params, _chain_results(chain)),
+        ["epsilon", "mean_fidelity", "std_error"],
+        rows,
+    )
+
+
+def localization_table(chain: DesignedChain, p: dict) -> str:
+    pmap = site_probabilities(diagonalize(chain.couplings))
+    results = {
+        "t_pst": chain.t_pst,
+        "participation_ratio_site1": participation_ratio(pmap.p[:, 0]),
+    }
+    n = chain.n_sites
+    rows = [(k + 1, i + 1, pmap.p[k, i]) for k in range(n) for i in range(n)]
+    return render_table(
+        _metadata("analyze-localization", p, results),
+        ["level_index", "site_index", "probability"],
+        rows,
+    )
+
+
+def level_shifts_table(chain: DesignedChain, p: dict, model: DisorderModel) -> str:
+    stats = level_shift_stats(chain.couplings, model)
+    results = {"normalization": stats.normalization, "t_pst": chain.t_pst}
+    rows = zip(
+        range(1, chain.n_sites + 1),
+        stats.omega_unperturbed,
+        stats.std,
+        stats.normalized_std,
+        stats.mean_shift,
+        stats.normalized_mean_shift,
+    )
+    return render_table(
+        _metadata("analyze-level-shifts", p | _disorder_params(model), results),
+        [
+            "level_index",
+            "energy",
+            "std_shift",
+            "std_shift_normalized",
+            "mean_shift",
+            "mean_shift_normalized",
+        ],
+        rows,
+    )
+
+
+def window_table(chain: DesignedChain, p: dict, threshold: float, points_per_period: int) -> str:
     eig = diagonalize(chain.couplings)
-    params = _family_params(args)
-    if args.localization:
-        pmap = site_probabilities(eig)
-        results = {
-            "t_pst": chain.t_pst,
-            "participation_ratio_site1": participation_ratio(pmap.p[:, 0]),
-        }
-        rows = [
-            (k + 1, i + 1, pmap.p[k, i])
-            for k in range(args.n)
-            for i in range(args.n)
-        ]
-        _emit(
-            args,
-            _metadata("analyze-localization", params, results),
-            ["level_index", "site_index", "probability"],
-            rows,
-        )
-        return
-
-    if args.level_shifts:
-        model = DisorderModel(epsilon=args.eps, n_realizations=args.nav, base_seed=args.seed)
-        stats = level_shift_stats(chain.couplings, model)
-        params |= {
-            "eps": args.eps,
-            "nav": args.nav,
-            "base_seed": args.seed,
-            "rng_algorithm_id": RNG_ALGORITHM_ID,
-        }
-        results = {"normalization": stats.normalization, "t_pst": chain.t_pst}
-        rows = [
-            (
-                k + 1,
-                stats.omega_unperturbed[k],
-                stats.std[k],
-                stats.normalized_std[k],
-                stats.mean_shift[k],
-                stats.normalized_mean_shift[k],
-            )
-            for k in range(args.n)
-        ]
-        _emit(
-            args,
-            _metadata("analyze-level-shifts", params, results),
-            [
-                "level_index",
-                "energy",
-                "std_shift",
-                "std_shift_normalized",
-                "mean_shift",
-                "mean_shift_normalized",
-            ],
-            rows,
-        )
-        return
-
-    # window mode: coarse trace for the first maximum, fine trace for the width
+    # coarse trace for the first maximum, fine trace for the width
     # (the +-7% span covers the widest 0.99-window among the standard families)
-    coarse = fidelity_trace(eig, 0.0, 1.05 * chain.t_pst, int(1.05 * args.points_per_period) + 1)
+    coarse = fidelity_trace(eig, 0.0, 1.05 * chain.t_pst, int(1.05 * points_per_period) + 1)
     first = detect_first_maximum(coarse)
     fine = fidelity_trace(eig, 0.93 * chain.t_pst, 1.07 * chain.t_pst, 28001)
-    width = window_width(fine, args.threshold)
-    params |= {"threshold": args.threshold, "points_per_period": args.points_per_period}
-    results = {"t_pst": chain.t_pst, "gamma": chain.gamma}
+    width = window_width(fine, threshold)
+    params = p | {"threshold": threshold, "points_per_period": points_per_period}
     rows = [
         (
             chain.t_pst,
@@ -403,57 +387,84 @@ def cmd_analyze(args) -> None:
             first.first_max_fidelity,
         )
     ]
-    _emit(
-        args,
-        _metadata("analyze-window", params, results),
+    return render_table(
+        _metadata("analyze-window", params, _chain_results(chain)),
         ["t_pst", "gamma", "curvature", "width", "first_max_time", "first_max_fidelity"],
         rows,
     )
 
 
+def cmd_spectrum(args) -> None:
+    _write(args.out, spectrum_table(_parsed_family(args), args.no_adjust))
+
+
+def cmd_chain(args) -> None:
+    p = _parsed_family(args)
+    normalize = not args.no_normalize
+    _write(args.out, chain_table(_design(p, normalize), p, normalize))
+
+
+def cmd_simulate(args) -> None:
+    p = _parsed_family(args)
+    _write(args.out, simulate_table(_design(p), p, args.periods, args.points_per_period))
+
+
+def cmd_ensemble(args) -> None:
+    if args.echoes is not None and args.sweep is not None:
+        raise ValueError("--echoes and --sweep are mutually exclusive")
+    model = DisorderModel(epsilon=args.eps, n_realizations=args.nav, base_seed=args.seed)
+    p = _parsed_family(args)
+    chain = _design(p)
+    workers = _threads(args)
+    if args.sweep is not None:
+        strengths = [float(tok) for tok in args.sweep.split(",") if tok.strip()]
+        text = sweep_table(chain, p, model, strengths, workers)
+    elif args.echoes is not None:
+        text = echoes_table(chain, p, model, args.echoes, workers)
+    else:
+        text = ensemble_trace_table(chain, p, model, args.periods, args.points_per_period, workers)
+    _write(args.out, text)
+
+
+def cmd_analyze(args) -> None:
+    p = _parsed_family(args)
+    chain = _design(p)
+    if args.localization:
+        text = localization_table(chain, p)
+    elif args.level_shifts:
+        model = DisorderModel(epsilon=args.eps, n_realizations=args.nav, base_seed=args.seed)
+        text = level_shifts_table(chain, p, model)
+    else:
+        text = window_table(chain, p, args.threshold, args.points_per_period)
+    _write(args.out, text)
+
+
 def cmd_reproduce(args) -> None:
-    from .pipeline import STANDARD_FAMILIES
-
     os.makedirs(args.outdir, exist_ok=True)
-    written = []
-
-    def run(argv, filename):
-        path = os.path.join(args.outdir, filename)
-        code = main(argv + ["--out", path])
-        if code != 0:
-            raise ValueError(f"stage failed with exit code {code}: {argv}")
-        written.append(path)
-
-    thread_args = ["--threads", str(_threads(args))]
+    model = DisorderModel(epsilon=0.01, n_realizations=args.nav, base_seed=args.seed)
+    workers = _threads(args)
+    sweep = [0.01, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3]
+    written = 0
     for name, (family, alpha) in STANDARD_FAMILIES.items():
-        base = ["--family", family, "--alpha", repr(alpha), "--n", str(args.n)]
-        seed = ["--seed", str(args.seed)]
-        run(["spectrum"] + base, f"spectrum_{name}.csv")
-        run(["chain"] + base, f"chain_{name}.csv")
-        run(["simulate"] + base + ["--periods", "2"], f"trace_{name}.csv")
-        run(
-            ["ensemble"] + base + seed + thread_args
-            + ["--eps", "0.01", "--nav", str(args.nav), "--periods", "2"],
-            f"ensemble_trace_{name}.csv",
-        )
-        run(
-            ["ensemble"] + base + seed + thread_args
-            + ["--eps", "0.01", "--nav", str(args.nav), "--echoes", "9"],
-            f"echoes_{name}.csv",
-        )
-        run(
-            ["ensemble"] + base + seed + thread_args
-            + ["--nav", str(args.nav), "--sweep", "0.01,0.05,0.1,0.15,0.2,0.25,0.3"],
-            f"strength_sweep_{name}.csv",
-        )
-        run(["analyze", "--localization"] + base, f"localization_{name}.csv")
-        run(
-            ["analyze", "--level-shifts"] + base + seed
-            + ["--eps", "0.01", "--nav", str(args.nav)],
-            f"level_shifts_{name}.csv",
-        )
-        run(["analyze", "--window"] + base, f"window_{name}.csv")
-    print(f"wrote {len(written)} files to {args.outdir}")
+        p = _family_params(family, alpha, args.n)
+        chain = _design(p)
+        products = {
+            "spectrum": spectrum_table(p),
+            "chain": chain_table(chain, p),
+            "trace": simulate_table(chain, p, periods=2.0, points_per_period=2000),
+            "ensemble_trace": ensemble_trace_table(
+                chain, p, model, periods=2.0, points_per_period=200, workers=workers
+            ),
+            "echoes": echoes_table(chain, p, model, echoes=9, workers=workers),
+            "strength_sweep": sweep_table(chain, p, model, sweep, workers),
+            "localization": localization_table(chain, p),
+            "level_shifts": level_shifts_table(chain, p, model),
+            "window": window_table(chain, p, threshold=0.99, points_per_period=2000),
+        }
+        for stage, text in products.items():
+            _write(os.path.join(args.outdir, f"{stage}_{name}.csv"), text)
+            written += 1
+    print(f"wrote {written} files to {args.outdir}")
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import averaged_fidelity, chain_spectrum, diagonalize
+from .dynamics import _transfer_abs, averaged_fidelity, chain_spectrum, diagonalize
 from .inverse_eigen import CouplingSet
 from .spectra import pst_time
 
@@ -30,11 +30,10 @@ class DisorderModel:
     epsilon: float
     n_realizations: int
     base_seed: int
-    rng_algorithm_id: str = RNG_ALGORITHM_ID
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
+        if not 0 <= self.epsilon < np.inf:
+            raise ValueError("epsilon must be finite and non-negative")
         if self.n_realizations < 1:
             raise ValueError("need at least one realization")
         if not 0 <= int(self.base_seed) < 2**64:
@@ -43,7 +42,7 @@ class DisorderModel:
     def metadata(self) -> dict:
         return {
             "base_seed": int(self.base_seed),
-            "rng_algorithm_id": self.rng_algorithm_id,
+            "rng_algorithm_id": RNG_ALGORITHM_ID,
             "epsilon": float(self.epsilon),
         }
 
@@ -82,7 +81,7 @@ def realization_rng(model: DisorderModel, realization_index: int) -> np.random.G
 def perturb_couplings(
     couplings: CouplingSet, model: DisorderModel, realization_index: int
 ) -> CouplingSet:
-    """One disorder realization J_i -> J_i (1 + delta_i); fields stay zero."""
+    """One disorder realization J_i -> J_i (1 + delta_i)."""
     if not 0 <= realization_index < model.n_realizations:
         raise ValueError(
             f"realization_index {realization_index} out of range "
@@ -94,7 +93,7 @@ def perturb_couplings(
         return couplings
     rng = realization_rng(model, realization_index)
     delta = rng.uniform(-model.epsilon, model.epsilon, size=couplings.couplings.size)
-    return CouplingSet(couplings.couplings * (1.0 + delta), couplings.fields)
+    return CouplingSet(couplings.couplings * (1.0 + delta))
 
 
 def run_ensemble(
@@ -114,10 +113,7 @@ def run_ensemble(
 
     def fidelity_of(realization: int) -> np.ndarray:
         perturbed = perturb_couplings(couplings, model, realization)
-        eig = diagonalize(perturbed)
-        phases = np.exp(-1j * np.outer(times, eig.eigenvalues))
-        amp = np.minimum(np.abs(phases @ eig.end_to_end_products), 1.0)
-        return averaged_fidelity(amp)
+        return averaged_fidelity(_transfer_abs(diagonalize(perturbed), times))
 
     if model.epsilon == 0.0:
         # every realization coincides with the clean chain; evaluating once
@@ -186,8 +182,8 @@ def fidelity_vs_strength(
     (epsilon, mean_fidelity, std_error).
     """
     epsilons = np.atleast_1d(np.asarray(epsilons, dtype=float))
-    if np.any(epsilons < 0):
-        raise ValueError("disorder strengths must be non-negative")
+    if not np.all((0 <= epsilons) & (epsilons < np.inf)):
+        raise ValueError("disorder strengths must be finite and non-negative")
     timing = pst_time(chain_spectrum(couplings))
     rows = np.empty((epsilons.size, 3))
     for i, eps in enumerate(epsilons):

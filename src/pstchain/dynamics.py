@@ -83,7 +83,7 @@ class FidelityTrace:
 
 def diagonalize(couplings: CouplingSet) -> EigenSystem:
     """Full eigensystem of the chain's tridiagonal single-excitation matrix."""
-    vals, vecs = eigh_tridiagonal(-couplings.fields, couplings.couplings)
+    vals, vecs = eigh_tridiagonal(np.zeros(couplings.n_sites), couplings.couplings)
     a = vecs.T
     # Positive off-diagonals guarantee nonvanishing first components, so the
     # sign convention a_{k,1} > 0 is always realizable.
@@ -98,7 +98,7 @@ def chain_spectrum(couplings: CouplingSet) -> Spectrum:
     symmetric about zero; the solver output is symmetrized to remove the
     last-ulp noise that would otherwise fail the Spectrum invariants.
     """
-    vals = eigvalsh_tridiagonal(-couplings.fields, couplings.couplings)
+    vals = eigvalsh_tridiagonal(np.zeros(couplings.n_sites), couplings.couplings)
     return Spectrum(0.5 * (vals - vals[::-1]))
 
 
@@ -144,7 +144,11 @@ def fidelity_trace(
     if n_points < 2:
         raise ValueError("need at least 2 grid points")
     times = np.linspace(t_start, t_end, n_points)
-    phases = np.exp(-1j * np.outer(times, eig.eigenvalues))
-    amp = np.abs(phases @ eig.end_to_end_products)
-    amp = np.minimum(amp, 1.0)
+    amp = _transfer_abs(eig, times)
     return FidelityTrace(times=times, amplitude_abs=amp, fidelity=averaged_fidelity(amp))
+
+
+def _transfer_abs(eig: EigenSystem, times: np.ndarray) -> np.ndarray:
+    """|f_N(t)| on a time grid, clipped at 1 against rounding."""
+    phases = np.exp(-1j * np.outer(times, eig.eigenvalues))
+    return np.minimum(np.abs(phases @ eig.end_to_end_products), 1.0)

@@ -8,7 +8,7 @@ a Lanczos three-term recursion on the diagonalized operator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
@@ -32,7 +32,6 @@ class CouplingSet:
     """
 
     couplings: np.ndarray
-    fields: np.ndarray = field(default=None)
 
     def __post_init__(self):
         j = np.array(self.couplings, dtype=float)
@@ -42,16 +41,6 @@ class CouplingSet:
             raise ValueError("couplings must be a 1-D array with at least 1 entry")
         if np.any(j <= 0):
             raise ValueError("all couplings must be positive")
-        b = self.fields
-        if b is None:
-            b = np.zeros(j.size + 1)
-        b = np.array(b, dtype=float)
-        b.setflags(write=False)
-        object.__setattr__(self, "fields", b)
-        if b.shape != (j.size + 1,):
-            raise ValueError("fields must have one entry per site")
-        if np.any(b != 0.0):
-            raise ValueError("local fields must all be zero")
 
     @property
     def n_sites(self) -> int:
@@ -64,7 +53,7 @@ class CouplingSet:
     def scaled(self, factor: float) -> "CouplingSet":
         if not factor > 0:
             raise ValueError("scale factor must be positive")
-        return CouplingSet(self.couplings * factor, self.fields)
+        return CouplingSet(self.couplings * factor)
 
 
 @dataclass(frozen=True)
@@ -125,7 +114,7 @@ def reconstruct_couplings(spectrum: Spectrum) -> CouplingSet:
             f"diagonal recursion coefficients failed to vanish "
             f"(max |alpha| = {max_diag:.3e}); spectrum may not be antisymmetric"
         )
-    return CouplingSet(couplings=betas, fields=np.zeros(omega.size))
+    return CouplingSet(betas)
 
 
 def verify_reconstruction(couplings: CouplingSet, spectrum: Spectrum) -> float:
@@ -136,7 +125,7 @@ def verify_reconstruction(couplings: CouplingSet, spectrum: Spectrum) -> float:
     """
     if couplings.n_sites != spectrum.n_sites:
         raise ValueError("coupling set and spectrum sizes are inconsistent")
-    achieved = eigvalsh_tridiagonal(-couplings.fields, couplings.couplings)
+    achieved = eigvalsh_tridiagonal(np.zeros(couplings.n_sites), couplings.couplings)
     return float(np.max(np.abs(achieved - spectrum.values)) / spectrum.omega_max)
 
 

@@ -184,6 +184,8 @@ def commensurate_adjust(
     is rebuilt antisymmetrically from the center outward, so the PST
     condition holds exactly afterward.
     """
+    if not 0 < base_search_tolerance < np.inf:
+        raise ValueError("base_search_tolerance must be positive and finite")
     gaps = spectrum.gaps
     g_min = float(gaps.min())
     g_max = float(gaps.max())

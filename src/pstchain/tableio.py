@@ -38,12 +38,6 @@ def render_table(metadata: dict, columns: list[str], rows) -> str:
     return buf.getvalue()
 
 
-def write_table(path, metadata: dict, columns: list[str], rows) -> None:
-    text = render_table(metadata, columns, rows)
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
-
-
 def read_table(path) -> tuple[dict, list[str], np.ndarray]:
     """Parse a metadata-CSV file back into (metadata, columns, float matrix)."""
     header_lines = []

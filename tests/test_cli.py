@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from pstchain.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from pstchain.errors import NoWindowError
+from pstchain.pipeline import STANDARD_FAMILIES
 from pstchain.tableio import read_table
 
 from conftest import SEED
@@ -208,6 +210,38 @@ class TestAnalyzeCommand:
         assert f_first == pytest.approx(1.0, abs=1e-6)
 
 
+class TestConfigurationErrors:
+    @pytest.mark.parametrize("flag,value,named", [
+        ("--eps", "nan", "epsilon"),
+        ("--sweep", "0.1,nan", "strengths"),
+        ("--sweep", "0.1,inf", "strengths"),
+        ("--base-search-tolerance", "0", "base_search_tolerance"),
+        ("--base-search-tolerance", "-1", "base_search_tolerance"),
+        ("--base-search-tolerance", "nan", "base_search_tolerance"),
+    ])
+    def test_bad_value_exits_2(self, capsys, flag, value, named):
+        code = main([
+            "ensemble", "--family", "center", "--alpha", "0.5", "--n", "15", "--nav", "3",
+            flag, value,
+        ])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+        assert named in err
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--family", "center", "--alpha", "1", "--n", "5", "--out"],
+        ["reproduce", "--n", "5", "--nav", "2", "--outdir"],
+    ], ids=["out", "outdir"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, argv):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(argv + [str(blocker / "x.csv")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: cannot write") and err.count("\n") == 1
+
+
 class TestThreadDefaults:
     def test_env_var_sets_worker_count(self, monkeypatch):
         from pstchain.cli import THREADS_ENV_VAR, _threads
@@ -246,3 +280,35 @@ class TestReproduceCommand:
             meta, columns, data = read_table(f)
             assert meta["tool"] == "pstchain"
             assert len(columns) > 0 and data.size > 0
+
+    def test_numerical_failure_exits_3(self, tmp_path, monkeypatch, capsys):
+        def no_window(trace, threshold):
+            raise NoWindowError("forced")
+
+        monkeypatch.setattr("pstchain.cli.window_width", no_window)
+        code = main(["reproduce", "--outdir", str(tmp_path), "--n", "5", "--nav", "2"])
+        assert code == EXIT_NUMERICAL
+        assert "NoWindowError" in capsys.readouterr().err
+
+    def test_files_match_standalone_subcommands(self, tmp_path):
+        outdir = tmp_path / "products"
+        code = main(["reproduce", "--outdir", str(outdir), "--n", "9", "--nav", "5", "--seed", "3"])
+        assert code == EXIT_OK
+        disorder = ["--seed", "3", "--nav", "5"]
+        stages = {
+            "spectrum": ["spectrum"],
+            "chain": ["chain"],
+            "trace": ["simulate", "--periods", "2"],
+            "ensemble_trace": ["ensemble", *disorder, "--eps", "0.01", "--periods", "2"],
+            "echoes": ["ensemble", *disorder, "--eps", "0.01", "--echoes", "9"],
+            "strength_sweep": ["ensemble", *disorder, "--sweep", "0.01,0.05,0.1,0.15,0.2,0.25,0.3"],
+            "localization": ["analyze", "--localization"],
+            "level_shifts": ["analyze", "--level-shifts", *disorder, "--eps", "0.01"],
+            "window": ["analyze", "--window"],
+        }
+        for name, (family, alpha) in STANDARD_FAMILIES.items():
+            family_args = ["--family", family, "--alpha", repr(alpha), "--n", "9"]
+            for stage, argv in stages.items():
+                code, single = run(tmp_path, f"{stage}_{name}.csv", argv + family_args)
+                assert code == EXIT_OK
+                assert single.read_bytes() == (outdir / single.name).read_bytes(), single.name

@@ -24,8 +24,9 @@ def model(eps=0.01, nav=10, seed=SEED):
 
 class TestDisorderModel:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            DisorderModel(epsilon=-0.1, n_realizations=10, base_seed=1)
+        for eps in (-0.1, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                DisorderModel(epsilon=eps, n_realizations=10, base_seed=1)
         with pytest.raises(ValueError):
             DisorderModel(epsilon=0.1, n_realizations=0, base_seed=1)
         with pytest.raises(ValueError):
@@ -53,7 +54,6 @@ class TestPerturbCouplings:
             out = perturb_couplings(couplings, m, r)
             rel = np.abs(out.couplings / couplings.couplings - 1.0)
             assert rel.max() <= 0.07
-        assert np.all(out.fields == 0.0)
 
     def test_deterministic(self, chains31):
         couplings = chains31["linear"].couplings
@@ -177,8 +177,9 @@ class TestFidelityVsStrength:
             assert means[i + 1] <= means[i] + slack
 
     def test_negative_strength_rejected(self, chains31):
-        with pytest.raises(ValueError):
-            fidelity_vs_strength(chains31["linear"].couplings, [-0.1], 5, SEED)
+        for strengths in ([-0.1], [0.1, np.nan], [np.inf]):
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                fidelity_vs_strength(chains31["linear"].couplings, strengths, 5, SEED)
 
 
 class TestPerturbedSpectrumStructure:
@@ -187,7 +188,7 @@ class TestPerturbedSpectrumStructure:
         m = model(eps=0.1, nav=50)
         for r in range(50):
             pc = perturb_couplings(couplings, m, r)
-            vals = eigvalsh_tridiagonal(-pc.fields, pc.couplings)
+            vals = eigvalsh_tridiagonal(np.zeros(pc.n_sites), pc.couplings)
             scale = np.abs(vals).max()
             assert np.max(np.abs(vals + vals[::-1])) < 1e-10 * scale
             assert np.min(np.abs(vals)) < 1e-12 * scale

@@ -54,7 +54,6 @@ class TestReconstructCouplings:
     def test_three_site(self):
         J = reconstruct_couplings(Spectrum([-np.sqrt(2), 0.0, np.sqrt(2)]))
         np.testing.assert_allclose(J.couplings, [1.0, 1.0], rtol=1e-14)
-        assert np.all(J.fields == 0.0)
 
     def test_two_site(self):
         J = reconstruct_couplings(Spectrum([-1.0, 1.0]))
@@ -153,10 +152,6 @@ class TestCouplingSet:
     def test_positive_required(self):
         with pytest.raises(ValueError, match="positive"):
             CouplingSet([1.0, -1.0])
-
-    def test_fields_must_be_zero(self):
-        with pytest.raises(ValueError, match="zero"):
-            CouplingSet([1.0, 1.0], fields=[0.0, 0.1, 0.0])
 
     def test_scaled(self):
         J = CouplingSet([1.0, 2.0]).scaled(0.5)

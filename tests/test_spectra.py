@@ -219,6 +219,12 @@ class TestCommensurateAdjust:
         base = np.pi / timing.t_pst
         np.testing.assert_allclose(adjusted.gaps / base, timing.odd_multipliers, rtol=1e-10)
 
+    @pytest.mark.parametrize("tolerance", [0.0, -1.0, np.nan])
+    def test_search_tolerance_must_be_positive_and_finite(self, tolerance):
+        raw = generate_spectrum(spec(31, "center", 0.5))
+        with pytest.raises(ValueError, match="positive and finite"):
+            commensurate_adjust(raw, tolerance)
+
     def test_degenerate_gaps_rejected(self):
         s = Spectrum([-2.0, -1e-5, 0.0, 1e-5, 2.0])
         with pytest.raises(DegenerateGapsError):
