@@ -84,18 +84,10 @@ class LevelShiftStats:
 
 @dataclass(frozen=True)
 class WindowMetrics:
-    """Read-out window diagnostics; fields not computed by a caller are None."""
+    """Time and fidelity of the first local fidelity maximum."""
 
-    curvature: float | None = None
-    width: float | None = None
-    first_max_time: float | None = None
-    first_max_fidelity: float | None = None
-
-    def __post_init__(self):
-        if self.curvature is not None and self.curvature < 0:
-            raise ValueError("curvature must be non-negative")
-        if self.width is not None and self.width <= 0:
-            raise ValueError("window width must be positive")
+    first_max_time: float
+    first_max_fidelity: float
 
 
 def site_probabilities(eig: EigenSystem) -> LocalizationMap:

@@ -36,7 +36,7 @@ from .disorder import (
     fidelity_vs_strength,
     run_ensemble,
 )
-from .dynamics import diagonalize, fidelity_trace
+from .dynamics import EigenSystem, FidelityTrace, diagonalize, fidelity_trace
 from .errors import (
     NoEchoError,
     NotCommensurateError,
@@ -49,8 +49,6 @@ from .spectra import (
     max_relative_change, pst_time,
 )
 from .tableio import render_table
-
-THREADS_ENV_VAR = "PSTCHAIN_THREADS"
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -123,7 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     ens.add_argument("--sweep", type=str, default=None, help="comma-separated disorder strengths; mean fidelity at t_pst per strength")
     ens.add_argument("--periods", type=float, default=2.0, help="time-grid length in units of t_pst (trace mode)")
     ens.add_argument("--points-per-period", type=int, default=200, help="grid points per t_pst (trace mode, default 200)")
-    ens.add_argument("--threads", type=int, default=None, help=f"worker threads (default ${THREADS_ENV_VAR} or 1)")
     _add_output_arg(ens)
     ens.set_defaults(handler=cmd_ensemble)
 
@@ -146,7 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--n", type=int, default=31, help="chain length (default 31)")
     rep.add_argument("--nav", type=int, default=100, help="realizations per ensemble (default 100)")
     rep.add_argument("--seed", type=int, default=0, help="base seed")
-    rep.add_argument("--threads", type=int, default=None, help=f"worker threads (default ${THREADS_ENV_VAR} or 1)")
     rep.set_defaults(handler=cmd_reproduce)
 
     return parser
@@ -167,12 +163,6 @@ def _add_family_args(p: argparse.ArgumentParser) -> None:
 
 def _add_output_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", type=str, default=None, help="output CSV path (default: stdout)")
-
-
-def _threads(args) -> int:
-    if getattr(args, "threads", None) is not None:
-        return max(1, args.threads)
-    return max(1, int(os.environ.get(THREADS_ENV_VAR, "1")))
 
 
 def _write(path, text: str) -> None:
@@ -283,10 +273,10 @@ def simulate_table(chain: DesignedChain, p: dict, periods: float, points_per_per
 
 def ensemble_trace_table(
     chain: DesignedChain, p: dict, model: DisorderModel,
-    periods: float, points_per_period: int, workers: int,
+    periods: float, points_per_period: int,
 ) -> str:
     times = np.linspace(0.0, periods * chain.t_pst, _grid_points(periods, points_per_period))
-    res = run_ensemble(chain.couplings, model, times, n_workers=workers)
+    res = run_ensemble(chain.couplings, model, times)
     params = p | _disorder_params(model) | {
         "periods": periods, "points_per_period": points_per_period,
     }
@@ -298,10 +288,8 @@ def ensemble_trace_table(
     )
 
 
-def echoes_table(
-    chain: DesignedChain, p: dict, model: DisorderModel, echoes: int, workers: int
-) -> str:
-    res = echo_decay(chain.couplings, model, echoes, n_workers=workers)
+def echoes_table(chain: DesignedChain, p: dict, model: DisorderModel, echoes: int) -> str:
+    res = echo_decay(chain.couplings, model, echoes)
     params = p | _disorder_params(model) | {"echoes": echoes}
     rows = zip(range(1, res.times.size + 1), res.times, res.mean_fidelity, res.std_error)
     return render_table(
@@ -312,14 +300,12 @@ def echoes_table(
 
 
 def sweep_table(
-    chain: DesignedChain, p: dict, model: DisorderModel, strengths: list[float], workers: int
+    chain: DesignedChain, p: dict, model: DisorderModel, strengths: list[float]
 ) -> str:
     """Mean fidelity at t_pst per strength; model.epsilon is only recorded."""
     if not strengths:
         raise ValueError("--sweep needs at least one strength")
-    rows = fidelity_vs_strength(
-        chain.couplings, strengths, model.n_realizations, model.base_seed, n_workers=workers
-    )
+    rows = fidelity_vs_strength(chain.couplings, strengths, model.n_realizations, model.base_seed)
     params = p | _disorder_params(model) | {"sweep": strengths}
     return render_table(
         _metadata("ensemble", params, _chain_results(chain)),
@@ -371,11 +357,9 @@ def level_shifts_table(chain: DesignedChain, p: dict, model: DisorderModel) -> s
 def window_table(chain: DesignedChain, p: dict, threshold: float, points_per_period: int) -> str:
     eig = diagonalize(chain.couplings)
     # coarse trace for the first maximum, fine trace for the width
-    # (the +-7% span covers the widest 0.99-window among the standard families)
     coarse = fidelity_trace(eig, 0.0, 1.05 * chain.t_pst, int(1.05 * points_per_period) + 1)
     first = detect_first_maximum(coarse)
-    fine = fidelity_trace(eig, 0.93 * chain.t_pst, 1.07 * chain.t_pst, 28001)
-    width = window_width(fine, threshold)
+    width = window_width(_window_trace(eig, chain.t_pst, threshold), threshold)
     params = p | {"threshold": threshold, "points_per_period": points_per_period}
     rows = [
         (
@@ -392,6 +376,34 @@ def window_table(chain: DesignedChain, p: dict, threshold: float, points_per_per
         ["t_pst", "gamma", "curvature", "width", "first_max_time", "first_max_fidelity"],
         rows,
     )
+
+
+def _window_trace(eig: EigenSystem, t_pst: float, threshold: float) -> FidelityTrace:
+    """Fine trace around t_pst that holds the whole region with F >= threshold.
+
+    It starts on [0.93, 1.07] t_pst, which holds the widest 0.99-window among
+    the standard families.  While the region reaches an end, another 0.07 t_pst
+    at the same spacing is added on that side, up to t = 0 and 2 t_pst.
+    """
+    block = 0.07 * t_pst
+    step = block / 14000
+    parts = [fidelity_trace(eig, 0.93 * t_pst, 1.07 * t_pst, 28001)]
+    while True:
+        trace = FidelityTrace(*(
+            np.concatenate([getattr(part, name) for part in parts])
+            for name in ("times", "amplitude_abs", "fidelity")
+        ))
+        if threshold <= 0.5:  # F >= 1/2 everywhere, so the region has no edge
+            return trace
+        above = trace.fidelity >= threshold
+        peak = int(np.argmax(trace.fidelity))
+        start, end = trace.times[0], trace.times[-1]
+        if start > 0 and above[: peak + 1].all():
+            parts.insert(0, fidelity_trace(eig, start - block, start - step, 14000))
+        elif end < 2 * t_pst and above[peak:].all():
+            parts.append(fidelity_trace(eig, end + step, end + block, 14000))
+        else:
+            return trace
 
 
 def cmd_spectrum(args) -> None:
@@ -415,14 +427,13 @@ def cmd_ensemble(args) -> None:
     model = DisorderModel(epsilon=args.eps, n_realizations=args.nav, base_seed=args.seed)
     p = _parsed_family(args)
     chain = _design(p)
-    workers = _threads(args)
     if args.sweep is not None:
         strengths = [float(tok) for tok in args.sweep.split(",") if tok.strip()]
-        text = sweep_table(chain, p, model, strengths, workers)
+        text = sweep_table(chain, p, model, strengths)
     elif args.echoes is not None:
-        text = echoes_table(chain, p, model, args.echoes, workers)
+        text = echoes_table(chain, p, model, args.echoes)
     else:
-        text = ensemble_trace_table(chain, p, model, args.periods, args.points_per_period, workers)
+        text = ensemble_trace_table(chain, p, model, args.periods, args.points_per_period)
     _write(args.out, text)
 
 
@@ -442,7 +453,6 @@ def cmd_analyze(args) -> None:
 def cmd_reproduce(args) -> None:
     os.makedirs(args.outdir, exist_ok=True)
     model = DisorderModel(epsilon=0.01, n_realizations=args.nav, base_seed=args.seed)
-    workers = _threads(args)
     sweep = [0.01, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3]
     written = 0
     for name, (family, alpha) in STANDARD_FAMILIES.items():
@@ -452,11 +462,9 @@ def cmd_reproduce(args) -> None:
             "spectrum": spectrum_table(p),
             "chain": chain_table(chain, p),
             "trace": simulate_table(chain, p, periods=2.0, points_per_period=2000),
-            "ensemble_trace": ensemble_trace_table(
-                chain, p, model, periods=2.0, points_per_period=200, workers=workers
-            ),
-            "echoes": echoes_table(chain, p, model, echoes=9, workers=workers),
-            "strength_sweep": sweep_table(chain, p, model, sweep, workers),
+            "ensemble_trace": ensemble_trace_table(chain, p, model, periods=2.0, points_per_period=200),
+            "echoes": echoes_table(chain, p, model, echoes=9),
+            "strength_sweep": sweep_table(chain, p, model, sweep),
             "localization": localization_table(chain, p),
             "level_shifts": level_shifts_table(chain, p, model),
             "window": window_table(chain, p, threshold=0.99, points_per_period=2000),

@@ -3,14 +3,12 @@
 Each bond coupling is multiplied by (1 + delta_i) with delta_i drawn
 independently and uniformly from [-epsilon, +epsilon].  Realization r always
 draws from the stream derived from (base_seed, r), so every result here is a
-pure function of its inputs, bitwise reproducible, and safe to parallelize
-over realizations.
+pure function of its inputs and bitwise reproducible.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,13 +37,6 @@ class DisorderModel:
         if not 0 <= int(self.base_seed) < 2**64:
             raise ValueError("base_seed must fit in 64 unsigned bits")
 
-    def metadata(self) -> dict:
-        return {
-            "base_seed": int(self.base_seed),
-            "rng_algorithm_id": RNG_ALGORITHM_ID,
-            "epsilon": float(self.epsilon),
-        }
-
 
 @dataclass(frozen=True)
 class EnsembleResult:
@@ -55,7 +46,6 @@ class EnsembleResult:
     mean_fidelity: np.ndarray
     std_error: np.ndarray
     realizations_used: int
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         t = np.array(self.times, dtype=float)
@@ -104,9 +94,8 @@ def run_ensemble(
 ) -> EnsembleResult:
     """Disorder-averaged fidelity on a time grid.
 
-    Realizations are independent; with n_workers > 1 they are evaluated in a
-    thread pool.  Results are always stored by realization index before the
-    reduction, so the output does not depend on scheduling.
+    Realizations run in one loop in index order.  `n_workers` has no effect;
+    it is accepted only so that existing callers that pass it keep working.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     n_real = model.n_realizations
@@ -124,17 +113,11 @@ def run_ensemble(
             mean_fidelity=mean,
             std_error=np.zeros_like(mean),
             realizations_used=n_real,
-            metadata=model.metadata(),
         )
 
     samples = np.empty((n_real, times.size))
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            for r, row in enumerate(pool.map(fidelity_of, range(n_real))):
-                samples[r] = row
-    else:
-        for r in range(n_real):
-            samples[r] = fidelity_of(r)
+    for r in range(n_real):
+        samples[r] = fidelity_of(r)
 
     mean = samples.mean(axis=0)
     if n_real > 1:
@@ -146,7 +129,6 @@ def run_ensemble(
         mean_fidelity=mean,
         std_error=std_error,
         realizations_used=n_real,
-        metadata=model.metadata(),
     )
 
 
@@ -159,13 +141,15 @@ def echo_decay(
     """Mean fidelity at the unperturbed transfer echoes t_i = (2i - 1) t_pst.
 
     The echo times come from the unperturbed chain; NotCommensurateError
-    propagates if its spectrum does not support PST.
+    propagates if its spectrum does not support PST.  `n_workers` has no
+    effect; it is accepted only so that existing callers that pass it keep
+    working.
     """
     if n_echoes < 1:
         raise ValueError("need at least one echo")
     timing = pst_time(chain_spectrum(couplings))
     echo_times = (2.0 * np.arange(1, n_echoes + 1) - 1.0) * timing.t_pst
-    return run_ensemble(couplings, model, echo_times, n_workers=n_workers)
+    return run_ensemble(couplings, model, echo_times)
 
 
 def fidelity_vs_strength(
@@ -173,7 +157,6 @@ def fidelity_vs_strength(
     epsilons,
     n_realizations: int,
     base_seed: int,
-    n_workers: int = 1,
 ) -> np.ndarray:
     """Mean fidelity at the unperturbed t_pst versus disorder strength.
 
@@ -190,6 +173,6 @@ def fidelity_vs_strength(
         model = DisorderModel(
             epsilon=float(eps), n_realizations=n_realizations, base_seed=base_seed
         )
-        result = run_ensemble(couplings, model, [timing.t_pst], n_workers=n_workers)
+        result = run_ensemble(couplings, model, [timing.t_pst])
         rows[i] = (eps, result.mean_fidelity[0], result.std_error[0])
     return rows

@@ -209,6 +209,17 @@ class TestAnalyzeCommand:
         assert t_first == pytest.approx(t_pst, rel=1e-3)
         assert f_first == pytest.approx(1.0, abs=1e-6)
 
+    def test_wide_window_is_not_clipped(self, tmp_path):
+        # the 0.8-window is 0.21 t_pst wide, wider than the first fine trace;
+        # 5.0203 comes from a 200001-point trace over [0.5, 1.5] t_pst
+        code, out = run(tmp_path, "w.csv", [
+            "analyze", "--window", "--threshold", "0.8",
+            "--family", "center", "--alpha", "1", "--n", "31",
+        ])
+        assert code == EXIT_OK
+        _, columns, data = read_table(out)
+        assert abs(data[0, columns.index("width")] - 5.0203) < 1e-3
+
 
 class TestConfigurationErrors:
     @pytest.mark.parametrize("flag,value,named", [
@@ -242,28 +253,13 @@ class TestConfigurationErrors:
         assert err.startswith("configuration error: cannot write") and err.count("\n") == 1
 
 
-class TestThreadDefaults:
-    def test_env_var_sets_worker_count(self, monkeypatch):
-        from pstchain.cli import THREADS_ENV_VAR, _threads
-
-        class Args:
-            threads = None
-
-        monkeypatch.setenv(THREADS_ENV_VAR, "3")
-        assert _threads(Args()) == 3
-        monkeypatch.delenv(THREADS_ENV_VAR)
-        assert _threads(Args()) == 1
-        Args.threads = 7
-        assert _threads(Args()) == 7
-
-    def test_threaded_run_matches_serial(self, tmp_path):
-        argv = [
-            "ensemble", "--family", "center", "--alpha", "1", "--n", "15",
-            "--eps", "0.05", "--nav", "16", "--seed", "11", "--echoes", "2",
-        ]
-        _, serial = run(tmp_path, "serial.csv", argv + ["--threads", "1"])
-        _, pooled = run(tmp_path, "pooled.csv", argv + ["--threads", "4"])
-        assert serial.read_bytes() == pooled.read_bytes()
+class TestThreadOptionRemoved:
+    @pytest.mark.parametrize("argv", [
+        ["ensemble", "--family", "center", "--alpha", "1", "--n", "5", "--nav", "2", "--out"],
+        ["reproduce", "--n", "5", "--nav", "2", "--outdir"],
+    ], ids=["ensemble", "reproduce"])
+    def test_threads_flag_exits_2(self, tmp_path, argv):
+        assert main(argv + [str(tmp_path / "x"), "--threads", "2"]) == EXIT_CONFIG
 
 
 class TestReproduceCommand:

@@ -3,7 +3,6 @@ import pytest
 from scipy.linalg import eigvalsh_tridiagonal
 
 from pstchain.disorder import (
-    RNG_ALGORITHM_ID,
     DisorderModel,
     EnsembleResult,
     echo_decay,
@@ -31,14 +30,6 @@ class TestDisorderModel:
             DisorderModel(epsilon=0.1, n_realizations=0, base_seed=1)
         with pytest.raises(ValueError):
             DisorderModel(epsilon=0.1, n_realizations=10, base_seed=2**64)
-
-    def test_metadata(self):
-        m = model(eps=0.05, seed=42)
-        assert m.metadata() == {
-            "base_seed": 42,
-            "rng_algorithm_id": RNG_ALGORITHM_ID,
-            "epsilon": 0.05,
-        }
 
 
 class TestPerturbCouplings:
@@ -103,7 +94,6 @@ class TestRunEnsemble:
             res.std_error, samples.std(axis=0, ddof=1) / np.sqrt(12), atol=1e-14
         )
         assert res.realizations_used == 12
-        assert res.metadata["rng_algorithm_id"] == RNG_ALGORITHM_ID
         assert np.all(res.mean_fidelity >= 0.5 - 3.0 * res.std_error)
         assert np.all(res.mean_fidelity <= 1.0 + 3.0 * res.std_error)
 
