@@ -10,9 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
-from .disorder import DisorderModel, perturb_couplings
+from .disorder import DisorderModel, realizations
 from .dynamics import EigenSystem, FidelityTrace
 from .errors import NoEchoError, NoWindowError
 from .inverse_eigen import CouplingSet
@@ -107,12 +106,10 @@ def participation_ratio(weights) -> float:
 
 def level_shift_stats(couplings: CouplingSet, model: DisorderModel) -> LevelShiftStats:
     """Spread of each sorted eigenvalue across the disorder ensemble."""
-    zeros = np.zeros(couplings.n_sites)
-    omega0 = eigvalsh_tridiagonal(zeros, couplings.couplings)
-    deviations = np.empty((model.n_realizations, omega0.size))
-    for r in range(model.n_realizations):
-        perturbed = perturb_couplings(couplings, model, r)
-        deviations[r] = eigvalsh_tridiagonal(zeros, perturbed.couplings) - omega0
+    omega0 = couplings.eigenvalues()
+    deviations = np.array([
+        chain.eigenvalues() - omega0 for chain in realizations(couplings, model)
+    ])
     omega_max = float(np.max(np.abs(omega0)))
     return LevelShiftStats(
         std=np.sqrt(np.mean(deviations**2, axis=0)),

@@ -8,8 +8,9 @@ and `p`, the family part of its header; `reproduce` designs each standard
 family once and renders its nine tables with the same functions.
 
 Exit codes: 0 success, 2 configuration error (including an output path that
-cannot be written), 3 numerical failure (incommensurate spectrum, unstable
-reconstruction, no read-out window or no echo).
+cannot be written and a grid or echo count too large to allocate), 3 numerical
+failure (incommensurate spectrum, unstable reconstruction, no read-out window
+or no echo).
 """
 
 from __future__ import annotations
@@ -73,6 +74,9 @@ def main(argv=None) -> int:
     except OSError as exc:  # handlers touch the file system only to write output
         print(f"configuration error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as exc:  # a requested grid or echo count too large to hold
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_OK
 
 
@@ -117,8 +121,9 @@ def build_parser() -> argparse.ArgumentParser:
     ens.add_argument("--eps", type=float, default=0.01, help="relative disorder strength (default 0.01)")
     ens.add_argument("--nav", type=int, default=100, help="number of realizations (default 100)")
     ens.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
-    ens.add_argument("--echoes", type=int, default=None, help="evaluate at the first K transfer echoes instead of a time grid")
-    ens.add_argument("--sweep", type=str, default=None, help="comma-separated disorder strengths; mean fidelity at t_pst per strength")
+    ens_mode = ens.add_mutually_exclusive_group()
+    ens_mode.add_argument("--echoes", type=int, default=None, help="evaluate at the first K transfer echoes instead of a time grid")
+    ens_mode.add_argument("--sweep", type=str, default=None, help="comma-separated disorder strengths; mean fidelity at t_pst per strength")
     ens.add_argument("--periods", type=float, default=2.0, help="time-grid length in units of t_pst (trace mode)")
     ens.add_argument("--points-per-period", type=int, default=200, help="grid points per t_pst (trace mode, default 200)")
     _add_output_arg(ens)
@@ -216,7 +221,10 @@ def _chain_results(chain: DesignedChain) -> dict:
 def _grid_points(periods: float, points_per_period: int) -> int:
     if not 0 < periods < np.inf or points_per_period < 2:
         raise ValueError("periods must be positive and points-per-period >= 2")
-    return int(round(periods * points_per_period)) + 1
+    points = periods * points_per_period
+    if not points < np.inf:
+        raise ValueError("periods * points-per-period is too large to hold as a grid")
+    return int(round(points)) + 1
 
 
 def spectrum_table(p: dict, no_adjust: bool = False) -> str:
@@ -422,8 +430,6 @@ def cmd_simulate(args) -> None:
 
 
 def cmd_ensemble(args) -> None:
-    if args.echoes is not None and args.sweep is not None:
-        raise ValueError("--echoes and --sweep are mutually exclusive")
     model = DisorderModel(epsilon=args.eps, n_realizations=args.nav, base_seed=args.seed)
     p = _parsed_family(args)
     chain = _design(p)

@@ -8,6 +8,7 @@ pure function of its inputs and bitwise reproducible.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,11 +80,22 @@ def perturb_couplings(
         )
     if model.epsilon >= 1:
         raise ValueError("epsilon >= 1 could make couplings non-positive")
-    if model.epsilon == 0:
-        return couplings
     rng = realization_rng(model, realization_index)
     delta = rng.uniform(-model.epsilon, model.epsilon, size=couplings.couplings.size)
     return CouplingSet(couplings.couplings * (1.0 + delta))
+
+
+def realizations(couplings: CouplingSet, model: DisorderModel) -> Iterator[CouplingSet]:
+    """The perturbed chains of the ensemble, in realization index order.
+
+    At zero strength every realization is the clean chain, so it is yielded
+    once: a statistic over that one sample is the clean value bit for bit.
+    """
+    if model.epsilon == 0:
+        yield couplings
+        return
+    for r in range(model.n_realizations):
+        yield perturb_couplings(couplings, model, r)
 
 
 def run_ensemble(
@@ -98,37 +110,20 @@ def run_ensemble(
     it is accepted only so that existing callers that pass it keep working.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    n_real = model.n_realizations
-
-    def fidelity_of(realization: int) -> np.ndarray:
-        perturbed = perturb_couplings(couplings, model, realization)
-        return averaged_fidelity(_transfer_abs(diagonalize(perturbed), times))
-
-    if model.epsilon == 0.0:
-        # every realization coincides with the clean chain; evaluating once
-        # keeps the mean bit-identical to the unperturbed trace
-        mean = fidelity_of(0)
-        return EnsembleResult(
-            times=times,
-            mean_fidelity=mean,
-            std_error=np.zeros_like(mean),
-            realizations_used=n_real,
-        )
-
-    samples = np.empty((n_real, times.size))
-    for r in range(n_real):
-        samples[r] = fidelity_of(r)
-
+    samples = np.array([
+        averaged_fidelity(_transfer_abs(diagonalize(chain), times))
+        for chain in realizations(couplings, model)
+    ])
     mean = samples.mean(axis=0)
-    if n_real > 1:
-        std_error = samples.std(axis=0, ddof=1) / np.sqrt(n_real)
+    if len(samples) > 1:
+        std_error = samples.std(axis=0, ddof=1) / np.sqrt(len(samples))
     else:
         std_error = np.zeros_like(mean)
     return EnsembleResult(
         times=times,
         mean_fidelity=mean,
         std_error=std_error,
-        realizations_used=n_real,
+        realizations_used=model.n_realizations,
     )
 
 

@@ -12,13 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
+from scipy.linalg import eigh_tridiagonal
 
 from .inverse_eigen import CouplingSet
 from .spectra import Spectrum
 
 #: Orthonormality requirement on eigenvector matrices, max |A A^T - I|.
 ORTHONORMALITY_TOL = 1e-10
+#: Most time points per block of the phase sum, which bounds its time x N matrix.
+PHASE_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -98,7 +100,7 @@ def chain_spectrum(couplings: CouplingSet) -> Spectrum:
     symmetric about zero; the solver output is symmetrized to remove the
     last-ulp noise that would otherwise fail the Spectrum invariants.
     """
-    vals = eigvalsh_tridiagonal(np.zeros(couplings.n_sites), couplings.couplings)
+    vals = couplings.eigenvalues()
     return Spectrum(0.5 * (vals - vals[::-1]))
 
 
@@ -149,6 +151,18 @@ def fidelity_trace(
 
 
 def _transfer_abs(eig: EigenSystem, times: np.ndarray) -> np.ndarray:
-    """|f_N(t)| on a time grid, clipped at 1 against rounding."""
-    phases = np.exp(-1j * np.outer(times, eig.eigenvalues))
-    return np.minimum(np.abs(phases @ eig.end_to_end_products), 1.0)
+    """|f_N(t)| on a time grid, clipped at 1 against rounding.
+
+    The grid is evaluated in near-equal blocks of at most PHASE_BLOCK points,
+    so memory stays bounded on long grids.  From two rows on, each row's sum
+    does not depend on its block; equal splitting keeps every block at two
+    rows or more unless the grid has one point, because numpy evaluates a
+    one-row product on another path whose last bits differ.
+    """
+    n_blocks = -(-times.size // PHASE_BLOCK) or 1
+    edges = [times.size * i // n_blocks for i in range(n_blocks + 1)]
+    amp = np.concatenate([
+        np.abs(np.exp(-1j * np.outer(times[a:b], eig.eigenvalues)) @ eig.end_to_end_products)
+        for a, b in zip(edges, edges[1:])
+    ])
+    return np.minimum(amp, 1.0)

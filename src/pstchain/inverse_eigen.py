@@ -50,6 +50,10 @@ class CouplingSet:
     def j_max(self) -> float:
         return float(self.couplings.max())
 
+    def eigenvalues(self) -> np.ndarray:
+        """Ascending eigenvalues of the chain's zero-field tridiagonal matrix."""
+        return eigvalsh_tridiagonal(np.zeros(self.n_sites), self.couplings)
+
     def scaled(self, factor: float) -> "CouplingSet":
         if not factor > 0:
             raise ValueError("scale factor must be positive")
@@ -125,7 +129,7 @@ def verify_reconstruction(couplings: CouplingSet, spectrum: Spectrum) -> float:
     """
     if couplings.n_sites != spectrum.n_sites:
         raise ValueError("coupling set and spectrum sizes are inconsistent")
-    achieved = eigvalsh_tridiagonal(np.zeros(couplings.n_sites), couplings.couplings)
+    achieved = couplings.eigenvalues()
     return float(np.max(np.abs(achieved - spectrum.values)) / spectrum.omega_max)
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import eigvalsh_tridiagonal
 
 from pstchain.analysis import (
     LocalizationMap,
@@ -13,7 +14,7 @@ from pstchain.analysis import (
     window_curvature,
     window_width,
 )
-from pstchain.disorder import DisorderModel, run_ensemble
+from pstchain.disorder import DisorderModel, perturb_couplings, run_ensemble
 from pstchain.dynamics import FidelityTrace, diagonalize, fidelity_trace
 from pstchain.errors import NoEchoError, NoWindowError
 from pstchain.inverse_eigen import CouplingSet
@@ -96,6 +97,28 @@ class TestLevelShiftStats:
         keep[15] = False  # exact-zero level carries no shift
         rel = np.abs(profiles[0.05][keep] - profiles[0.01][keep]) / profiles[0.01][keep]
         assert rel.max() < 0.1
+
+    def test_matches_direct_eigenvalue_loop(self, chains31):
+        chain = chains31["sqrt_center"]
+        model = DisorderModel(epsilon=0.05, n_realizations=40, base_seed=SEED)
+        stats = level_shift_stats(chain.couplings, model)
+        zeros = np.zeros(31)
+        omega0 = eigvalsh_tridiagonal(zeros, chain.couplings.couplings)
+        deviations = np.array([
+            eigvalsh_tridiagonal(zeros, perturb_couplings(chain.couplings, model, r).couplings)
+            - omega0
+            for r in range(40)
+        ])
+        np.testing.assert_array_equal(stats.omega_unperturbed, omega0)
+        np.testing.assert_array_equal(stats.std, np.sqrt(np.mean(deviations**2, axis=0)))
+        np.testing.assert_array_equal(stats.mean_shift, deviations.mean(axis=0))
+        assert stats.normalization == 0.05 * float(np.max(np.abs(omega0)))
+
+    def test_zero_strength_gives_exact_zeros(self, chains31):
+        model = DisorderModel(epsilon=0.0, n_realizations=5, base_seed=SEED)
+        stats = level_shift_stats(chains31["quadratic"].couplings, model)
+        np.testing.assert_array_equal(stats.std, np.zeros(31))
+        np.testing.assert_array_equal(stats.mean_shift, np.zeros(31))
 
     def test_mean_shift_small_at_weak_disorder(self, chains31):
         chain = chains31["linear"]

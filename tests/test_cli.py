@@ -138,6 +138,8 @@ class TestEnsembleCommand:
             "--echoes", "3", "--sweep", "0.1",
         ])
         assert code == EXIT_CONFIG
+        # rejected by argparse while parsing, before any chain is designed
+        assert "argument --sweep: not allowed with argument --echoes" in capsys.readouterr().err
 
     def test_byte_identical_reruns(self, tmp_path):
         argv = [
@@ -239,6 +241,17 @@ class TestConfigurationErrors:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and err.count("\n") == 1
         assert named in err
+
+    @pytest.mark.parametrize("periods", ["1e306", "1e12"], ids=["overflow", "unallocatable"])
+    def test_oversized_grid_exits_2(self, capsys, periods):
+        # 1e306 periods overflow the point count; 1e12 periods ask for a
+        # 14 PiB grid, which numpy refuses without touching memory
+        code = main([
+            "simulate", "--family", "center", "--alpha", "2", "--n", "9", "--periods", periods,
+        ])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--family", "center", "--alpha", "1", "--n", "5", "--out"],

@@ -8,6 +8,7 @@ from pstchain.disorder import (
     echo_decay,
     fidelity_vs_strength,
     perturb_couplings,
+    realizations,
     run_ensemble,
 )
 from pstchain.dynamics import diagonalize, fidelity_trace, transfer_amplitude, averaged_fidelity
@@ -65,6 +66,22 @@ class TestPerturbCouplings:
     def test_index_out_of_range(self, chains31):
         with pytest.raises(ValueError, match="out of range"):
             perturb_couplings(chains31["linear"].couplings, model(nav=4), 4)
+
+
+class TestRealizations:
+    def test_perturbed_chains_in_index_order(self, chains31):
+        couplings = chains31["quadratic"].couplings
+        m = model(eps=0.04, nav=6)
+        chains = list(realizations(couplings, m))
+        assert len(chains) == 6
+        for r, chain in enumerate(chains):
+            expected = perturb_couplings(couplings, m, r)
+            np.testing.assert_array_equal(chain.couplings, expected.couplings)
+
+    def test_zero_strength_yields_input_once(self, chains31):
+        couplings = chains31["linear"].couplings
+        chains = list(realizations(couplings, model(eps=0.0, nav=7)))
+        assert len(chains) == 1 and chains[0] is couplings
 
 
 class TestRunEnsemble:

@@ -3,6 +3,7 @@ import pytest
 
 from pstchain.disorder import DisorderModel, perturb_couplings
 from pstchain.dynamics import (
+    PHASE_BLOCK,
     EigenSystem,
     averaged_fidelity,
     chain_spectrum,
@@ -134,6 +135,18 @@ class TestFidelityTrace:
         early = tr.fidelity[: int(0.95 * 4001)]
         assert early.max() < 1.0 - 1e-4
         assert tr.fidelity[-1] == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("n_points", [2 * PHASE_BLOCK + 1, 3 * PHASE_BLOCK + 517])
+    def test_blocked_phase_sum_matches_one_shot(self, chains31, n_points):
+        # three and four blocks; 2 * PHASE_BLOCK + 1 would leave a one-row
+        # block under fixed-size blocking, whose sum differs in the last bits
+        chain = chains31["sqrt_center"]
+        eig = diagonalize(chain.couplings)
+        tr = fidelity_trace(eig, 0.0, 2.5 * chain.t_pst, n_points)
+        phases = np.exp(-1j * np.outer(tr.times, eig.eigenvalues))
+        amp = np.minimum(np.abs(phases @ eig.end_to_end_products), 1.0)
+        np.testing.assert_array_equal(tr.amplitude_abs, amp)
+        np.testing.assert_array_equal(tr.fidelity, averaged_fidelity(amp))
 
     def test_grid_validation(self, chains31):
         eig = diagonalize(chains31["linear"].couplings)
