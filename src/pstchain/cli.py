@@ -46,8 +46,8 @@ from .errors import (
 )
 from .pipeline import STANDARD_FAMILIES, DesignedChain, design_chain
 from .spectra import (
-    BASE_SEARCH_TOLERANCE, FAMILIES, SpectrumSpec, commensurate_adjust, generate_spectrum,
-    max_relative_change, pst_time,
+    BASE_SEARCH_TOLERANCE, FAMILIES, MAX_SCAN_CANDIDATES, SpectrumSpec, commensurate_adjust,
+    generate_spectrum, max_relative_change, pst_time,
 )
 from .tableio import render_table
 
@@ -162,7 +162,9 @@ def _add_family_args(p: argparse.ArgumentParser) -> None:
         "--base-search-tolerance",
         type=float,
         default=BASE_SEARCH_TOLERANCE,
-        help="scan resolution of the commensuration search (default 1e-4)",
+        help="scan resolution of the commensuration search (default 1e-4); a value "
+        f"asking for more than MAX_SCAN_CANDIDATES = {MAX_SCAN_CANDIDATES} candidate "
+        f"bases (below about {(2 / 3) / MAX_SCAN_CANDIDATES:.3g}) exits 2",
     )
 
 

@@ -46,8 +46,11 @@ class EigenSystem:
             raise ValueError("eigenvector matrix must be square, one row per level")
         if np.any(np.diff(vals) < 0):
             raise ValueError("eigenvalues must be ascending")
+        # |A A^T - I| in place, so the check holds one N x N array; the
+        # product is C-contiguous, so ravel() is a view and [:: n + 1] its diagonal
         gram = vecs @ vecs.T
-        if np.max(np.abs(gram - np.eye(n))) > ORTHONORMALITY_TOL:
+        gram.ravel()[:: n + 1] -= 1.0
+        if np.max(np.abs(gram, out=gram)) > ORTHONORMALITY_TOL:
             raise ValueError("eigenvector matrix is not orthonormal")
 
     @property
@@ -89,7 +92,7 @@ def diagonalize(couplings: CouplingSet) -> EigenSystem:
     a = vecs.T
     # Positive off-diagonals guarantee nonvanishing first components, so the
     # sign convention a_{k,1} > 0 is always realizable.
-    a = a * np.where(a[:, 0] < 0, -1.0, 1.0)[:, None]
+    a *= np.where(a[:, 0] < 0, -1.0, 1.0)[:, None]
     return EigenSystem(eigenvalues=vals, eigenvectors=a)
 
 
@@ -157,12 +160,13 @@ def _transfer_abs(eig: EigenSystem, times: np.ndarray) -> np.ndarray:
     so memory stays bounded on long grids.  From two rows on, each row's sum
     does not depend on its block; equal splitting keeps every block at two
     rows or more unless the grid has one point, because numpy evaluates a
-    one-row product on another path whose last bits differ.
+    one-row product on another path whose last bits differ.  Each block's
+    phases are exponentiated in place.
     """
     n_blocks = -(-times.size // PHASE_BLOCK) or 1
     edges = [times.size * i // n_blocks for i in range(n_blocks + 1)]
-    amp = np.concatenate([
-        np.abs(np.exp(-1j * np.outer(times[a:b], eig.eigenvalues)) @ eig.end_to_end_products)
-        for a, b in zip(edges, edges[1:])
-    ])
-    return np.minimum(amp, 1.0)
+    amp = np.empty(times.size)
+    for a, b in zip(edges, edges[1:]):
+        phases = -1j * np.outer(times[a:b], eig.eigenvalues)
+        amp[a:b] = np.abs(np.exp(phases, out=phases) @ eig.end_to_end_products)
+    return np.minimum(amp, 1.0, out=amp)

@@ -25,6 +25,12 @@ GAP_ODDNESS_RTOL = 1e-9
 BASE_SEARCH_TOLERANCE = 1e-4
 # Largest odd divisor of the smallest gap tried before giving up in pst_time.
 _MAX_BASE_DIVISOR = 9999
+# Candidate rows per block of the pst_time and commensurate_adjust scans, which
+# bounds their scratch memory at _SCAN_BLOCK x (N - 1) per table.
+_SCAN_BLOCK = 64
+#: Most candidate bases the readjustment scan takes; a base_search_tolerance
+#: asking for more is a configuration error.
+MAX_SCAN_CANDIDATES = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -67,6 +73,8 @@ class Spectrum:
         object.__setattr__(self, "values", vals)
         if vals.ndim != 1 or vals.size < 2:
             raise ValueError("spectrum must be a 1-D array with at least 2 values")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("spectrum values must be finite")
         if not np.all(np.diff(vals) > 0):
             raise ValueError("spectrum values must be strictly increasing")
         scale = float(np.max(np.abs(vals)))
@@ -148,24 +156,29 @@ def pst_time(spectrum: Spectrum, tolerance: float = GAP_ODDNESS_RTOL) -> PstTimi
     (decreasing base) and returns the first one for which every gap ratio is
     an odd integer within `tolerance` (relative).  Transfer then recurs at
     all odd multiples of the returned t_pst.
+
+    The divisors are tested in blocks of _SCAN_BLOCK, and the scan stops at
+    the first block that holds an admissible divisor, so a commensurate
+    spectrum with a small divisor never builds the rest of the table.
     """
     gaps = spectrum.gaps
     g_min = float(gaps.min())
     divisors = np.arange(1, _MAX_BASE_DIVISOR + 1, 2, dtype=float)
-    ratios = gaps[None, :] * (divisors[:, None] / g_min)
-    nearest_odd = 2.0 * np.floor(ratios / 2.0) + 1.0
-    admissible = np.abs(ratios - nearest_odd) <= tolerance * ratios
-    rows = np.nonzero(admissible.all(axis=1))[0]
-    if rows.size == 0:
-        raise NotCommensurateError(
-            "gap ratios are not ratios of odd integers within tolerance "
-            f"{tolerance:g}; the spectrum does not support PST"
-        )
-    best = int(rows[0])
-    base = g_min / divisors[best]
-    return PstTiming(
-        t_pst=float(np.pi / base),
-        odd_multipliers=nearest_odd[best].astype(int),
+    for start in range(0, divisors.size, _SCAN_BLOCK):
+        block = divisors[start:start + _SCAN_BLOCK]
+        ratios = gaps[None, :] * (block[:, None] / g_min)
+        nearest_odd = 2.0 * np.floor(ratios / 2.0) + 1.0
+        admissible = np.abs(ratios - nearest_odd) <= tolerance * ratios
+        rows = np.nonzero(admissible.all(axis=1))[0]
+        if rows.size:
+            best = int(rows[0])
+            return PstTiming(
+                t_pst=float(np.pi / (g_min / block[best])),
+                odd_multipliers=nearest_odd[best].astype(int),
+            )
+    raise NotCommensurateError(
+        "gap ratios are not ratios of odd integers within tolerance "
+        f"{tolerance:g}; the spectrum does not support PST"
     )
 
 
@@ -184,6 +197,13 @@ def commensurate_adjust(
     is rebuilt antisymmetrically from the center outward, so the PST
     condition holds exactly afterward.
 
+    The candidates are scored in blocks of _SCAN_BLOCK, so the scan holds a
+    _SCAN_BLOCK x (N - 1) table instead of one row per candidate.  A later
+    block replaces the best so far only with a strictly smaller score, so a
+    tie keeps the first (smallest) base, as `np.argmin` over all candidates
+    would.  A tolerance that asks for more than MAX_SCAN_CANDIDATES bases
+    raises ValueError before anything is allocated.
+
     For fractional exponents the score tends to fall as the base shrinks, so
     the window's lower edge g_min/3 fixes the transfer time: the winning base
     lies near that edge, and a window reaching further down would give a
@@ -191,6 +211,14 @@ def commensurate_adjust(
     """
     if not 0 < base_search_tolerance < np.inf:
         raise ValueError("base_search_tolerance must be positive and finite")
+    n_candidates = float(np.rint((2.0 / 3.0) / base_search_tolerance)) + 1
+    if n_candidates > MAX_SCAN_CANDIDATES:
+        raise ValueError(
+            f"base_search_tolerance {base_search_tolerance:g} asks for "
+            f"{n_candidates:.3g} candidate bases; the scan takes at most "
+            f"{MAX_SCAN_CANDIDATES} (a tolerance of at least "
+            f"{(2.0 / 3.0) / (MAX_SCAN_CANDIDATES - 1):.3g})"
+        )
     gaps = spectrum.gaps
     g_min = float(gaps.min())
     g_max = float(gaps.max())
@@ -206,14 +234,9 @@ def commensurate_adjust(
     except NotCommensurateError:
         pass
 
-    n_candidates = int(round((2.0 / 3.0) / base_search_tolerance)) + 1
-    bases = np.linspace(g_min / 3.0, g_min, n_candidates)
-    ratios = gaps[None, :] / bases[:, None]
-    nearest_odd = 2.0 * np.floor(ratios / 2.0) + 1.0
-    scores = (((ratios - nearest_odd) / ratios) ** 2).sum(axis=1)
-    best = int(np.argmin(scores))
-
-    snapped = _snap(nearest_odd[best].astype(int), float(bases[best]), spectrum.n_sites)
+    bases = np.linspace(g_min / 3.0, g_min, int(n_candidates))
+    best, multipliers = _best_base(gaps, bases)
+    snapped = _snap(multipliers, float(bases[best]), spectrum.n_sites)
     # Re-derive the timing from the snapped gaps: the rounded multipliers may
     # share a common odd factor, in which case the true base is larger.
     timing = pst_time(snapped)
@@ -226,6 +249,23 @@ def max_relative_change(original: Spectrum, adjusted: Spectrum) -> float:
         raise ValueError("spectra differ in length")
     scale = max(original.omega_max, adjusted.omega_max)
     return float(np.max(np.abs(adjusted.values - original.values)) / scale)
+
+
+def _best_base(gaps: np.ndarray, bases: np.ndarray) -> tuple[int, np.ndarray]:
+    """Index of the first best-scoring candidate base and its odd multipliers.
+
+    Scored _SCAN_BLOCK candidates at a time; see commensurate_adjust.
+    """
+    best_score = np.inf
+    for start in range(0, bases.size, _SCAN_BLOCK):
+        ratios = gaps[None, :] / bases[start:start + _SCAN_BLOCK, None]
+        nearest_odd = 2.0 * np.floor(ratios / 2.0) + 1.0
+        scores = (((ratios - nearest_odd) / ratios) ** 2).sum(axis=1)
+        row = int(np.argmin(scores))
+        if scores[row] < best_score:
+            best, best_score = start + row, scores[row]
+            multipliers = nearest_odd[row].astype(int)
+    return best, multipliers
 
 
 def _snap(multipliers: np.ndarray, base: float, n_values: int) -> Spectrum:

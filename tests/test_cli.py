@@ -231,6 +231,7 @@ class TestConfigurationErrors:
         ("--base-search-tolerance", "0", "base_search_tolerance"),
         ("--base-search-tolerance", "-1", "base_search_tolerance"),
         ("--base-search-tolerance", "nan", "base_search_tolerance"),
+        ("--base-search-tolerance", "1e-12", "base_search_tolerance"),
     ])
     def test_bad_value_exits_2(self, capsys, flag, value, named):
         code = main([

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from pstchain.disorder import DisorderModel, perturb_couplings
 from pstchain.dynamics import (
@@ -51,6 +52,41 @@ class TestDiagonalize:
     def test_orthonormality_validated(self):
         with pytest.raises(ValueError, match="orthonormal"):
             EigenSystem(eigenvalues=[0.0, 1.0], eigenvectors=[[1.0, 0.0], [1.0, 0.0]])
+
+    @pytest.mark.parametrize("scale,ok", [(1 + 1e-6, False), (1 + 1e-13, True)])
+    def test_diagonal_only_defect(self, chains31, scale, ok):
+        # scaling one row keeps every row orthogonal, so only the diagonal of
+        # A A^T - I shows the defect
+        eig = diagonalize(chains31["quadratic"].couplings)
+        vecs = eig.eigenvectors.copy()
+        vecs[7] *= scale
+        if ok:
+            EigenSystem(eigenvalues=eig.eigenvalues, eigenvectors=vecs)
+        else:
+            with pytest.raises(ValueError, match="orthonormal"):
+                EigenSystem(eigenvalues=eig.eigenvalues, eigenvectors=vecs)
+
+    def test_signs_flipped_from_solver_output(self):
+        couplings = perturb_couplings(
+            CouplingSet(np.linspace(0.5, 1.5, 30)),
+            DisorderModel(epsilon=0.1, n_realizations=1, base_seed=SEED), 0,
+        )
+        vals, vecs = eigh_tridiagonal(np.zeros(31), couplings.couplings)
+        expected = vecs.T * np.where(vecs[0] < 0, -1.0, 1.0)[:, None]
+        eig = diagonalize(couplings)
+        assert np.all(eig.eigenvectors[:, 0] > 0)
+        np.testing.assert_array_equal(eig.eigenvalues, vals)
+        np.testing.assert_array_equal(eig.eigenvectors, expected)
+
+    def test_returns_read_only_unaliased_arrays(self, chains31):
+        couplings = chains31["sqrt_center"].couplings
+        eig = diagonalize(couplings)
+        other = diagonalize(couplings)
+        for arr in (eig.eigenvalues, eig.eigenvectors):
+            assert not arr.flags.writeable
+            assert not np.shares_memory(arr, couplings.couplings)
+            assert not np.shares_memory(arr, other.eigenvalues)
+            assert not np.shares_memory(arr, other.eigenvectors)
 
 
 class TestTransferAmplitude:

@@ -1,8 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from pstchain import spectra
 from pstchain.errors import DegenerateGapsError, NotCommensurateError
+from pstchain.pipeline import STANDARD_FAMILIES
 from pstchain.spectra import (
+    MAX_SCAN_CANDIDATES,
     PstTiming,
     Spectrum,
     SpectrumSpec,
@@ -75,6 +80,11 @@ class TestSpectrumType:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="antisymmetric"):
             Spectrum([-1.0, 0.0, 2.0])
+
+    @pytest.mark.parametrize("values", [[-np.inf, 0.0, np.inf], [-1.0, np.nan, 1.0]])
+    def test_rejects_non_finite(self, values):
+        with pytest.raises(ValueError, match="finite"):
+            Spectrum(values)
 
     def test_rejects_nonzero_center(self):
         with pytest.raises(ValueError):
@@ -229,3 +239,101 @@ class TestCommensurateAdjust:
         s = Spectrum([-2.0, -1e-5, 0.0, 1e-5, 2.0])
         with pytest.raises(DegenerateGapsError):
             commensurate_adjust(s)
+
+
+def _one_shot_pst_time(spectrum):
+    """(t_pst, multipliers) from the whole divisor table at once, or None."""
+    gaps = spectrum.gaps
+    g_min = float(gaps.min())
+    divisors = np.arange(1, 9999 + 1, 2, dtype=float)
+    ratios = gaps[None, :] * (divisors[:, None] / g_min)
+    nearest_odd = 2.0 * np.floor(ratios / 2.0) + 1.0
+    rows = np.nonzero((np.abs(ratios - nearest_odd) <= 1e-9 * ratios).all(axis=1))[0]
+    if rows.size == 0:
+        return None
+    return float(np.pi / (g_min / divisors[rows[0]])), nearest_odd[rows[0]].astype(int)
+
+
+def _one_shot_adjust(spectrum):
+    """(t_pst, multipliers, spectrum bytes) of commensurate_adjust, from whole-table scans."""
+    found = _one_shot_pst_time(spectrum)
+    if found is None:
+        gaps = spectrum.gaps
+        g_min = float(gaps.min())
+        bases = np.linspace(g_min / 3.0, g_min, int(round((2.0 / 3.0) / 1e-4)) + 1)
+        ratios = gaps[None, :] / bases[:, None]
+        nearest_odd = 2.0 * np.floor(ratios / 2.0) + 1.0
+        best = int(np.argmin((((ratios - nearest_odd) / ratios) ** 2).sum(axis=1)))
+        spectrum = spectra._snap(nearest_odd[best].astype(int), float(bases[best]), spectrum.n_sites)
+        found = _one_shot_pst_time(spectrum)
+    else:
+        t_pst, multipliers = found
+        spectrum = spectra._snap(multipliers, np.pi / t_pst, spectrum.n_sites)
+    t_pst, multipliers = found
+    return t_pst, multipliers.tolist(), spectrum.values.tobytes()
+
+
+class TestBlockedScans:
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    @pytest.mark.parametrize("n", [3, 5, 9, 31, 101, 301])
+    @pytest.mark.parametrize("name", sorted(STANDARD_FAMILIES))
+    def test_match_one_shot_scans(self, monkeypatch, name, n, block):
+        raw = generate_spectrum(spec(n, *STANDARD_FAMILIES[name]))
+        expected = _one_shot_adjust(raw)
+        monkeypatch.setattr(spectra, "_SCAN_BLOCK", block)
+        adjusted, timing = commensurate_adjust(raw)
+        assert timing.t_pst == expected[0]
+        assert timing.odd_multipliers.tolist() == expected[1]
+        assert adjusted.values.tobytes() == expected[2]
+
+    @pytest.mark.parametrize("block", [1, 64, 65, 66])
+    def test_answer_in_a_later_block(self, monkeypatch, block):
+        # gaps (133, 131, 131, 133)/131 need divisor 131 of the smallest gap,
+        # row 65 of the divisor table: the second block at the default 64
+        monkeypatch.setattr(spectra, "_SCAN_BLOCK", block)
+        timing = pst_time(Spectrum(np.array([-264.0, -131.0, 0.0, 131.0, 264.0]) / 131.0))
+        assert timing.t_pst == 131 * np.pi
+        assert timing.odd_multipliers.tolist() == [133, 131, 131, 133]
+
+    @pytest.mark.parametrize("later", [False, True])
+    def test_score_tie_across_block_edge_keeps_earlier_base(self, later):
+        # a copy of the winning candidate placed in another block ties its
+        # score bit for bit; the first of the two must win, as with argmin
+        gaps = generate_spectrum(spec(31, "center", 0.5)).gaps
+        g_min = float(gaps.min())
+        bases = np.linspace(g_min / 3.0, g_min, 6667)
+        best, multipliers = spectra._best_base(gaps, bases)
+        shift = 3 * spectra._SCAN_BLOCK
+        assert shift <= best < bases.size - shift
+        copy_at = best + shift if later else best - shift
+        tied = np.insert(bases, copy_at, bases[best])
+        first = min(copy_at, best)
+        assert tied[first] == bases[best]
+        found, found_multipliers = spectra._best_base(gaps, tied)
+        assert found == first
+        np.testing.assert_array_equal(found_multipliers, multipliers)
+
+    @pytest.mark.parametrize("name", ["linear", "sqrt_center"])
+    def test_scratch_memory_bounded_at_n1001(self, name):
+        raw = generate_spectrum(spec(1001, *STANDARD_FAMILIES[name]))
+        tracemalloc.start()
+        try:
+            commensurate_adjust(raw)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("tolerance", [1e-12, 5e-324])
+    def test_too_fine_scan_is_rejected(self, tolerance):
+        raw = generate_spectrum(spec(31, "center", 0.5))
+        with pytest.raises(ValueError, match="candidate bases"):
+            commensurate_adjust(raw, tolerance)
+
+    def test_finest_accepted_scan_runs(self):
+        raw = generate_spectrum(spec(5, "center", 0.5))
+        tolerance = (2.0 / 3.0) / (MAX_SCAN_CANDIDATES - 1)
+        adjusted, timing = commensurate_adjust(raw, tolerance)
+        pst_time(adjusted)
+        with pytest.raises(ValueError, match="candidate bases"):
+            commensurate_adjust(raw, tolerance / (1 + 1e-6))
