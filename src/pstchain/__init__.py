@@ -30,14 +30,13 @@ from .dynamics import (
     chain_spectrum,
     diagonalize,
     fidelity_trace,
-    site_amplitudes,
-    transfer_amplitude,
 )
 from .errors import (
     DegenerateGapsError,
     NoEchoError,
     NotCommensurateError,
     NoWindowError,
+    NumericalError,
     ReconstructionUnstableError,
 )
 from .inverse_eigen import (

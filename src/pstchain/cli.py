@@ -4,13 +4,14 @@ Each subcommand computes one table and writes it as CSV with a JSON metadata
 preamble carrying the full resolved parameter set (including seeds and the
 RNG scheme), so any output file can be regenerated bit-identically from its
 own header.  Each `*_table` function renders one table from a designed chain
-and `p`, the family part of its header; `reproduce` designs each standard
-family once and renders its nine tables with the same functions.
+(the spectrum table from a spectrum stage) and `p`, the family part of its
+header; `reproduce` designs each standard family once and renders its nine
+tables with the same functions.
 
 Exit codes: 0 success, 2 configuration error (including an output path that
 cannot be written and a grid or echo count too large to allocate), 3 numerical
-failure (incommensurate spectrum, unstable reconstruction, no read-out window
-or no echo).
+failure (incommensurate spectrum, unstable reconstruction or underflowing
+spectral weights, no read-out window or no echo).
 """
 
 from __future__ import annotations
@@ -37,18 +38,10 @@ from .disorder import (
     fidelity_vs_strength,
     run_ensemble,
 )
-from .dynamics import EigenSystem, FidelityTrace, diagonalize, fidelity_trace
-from .errors import (
-    NoEchoError,
-    NotCommensurateError,
-    NoWindowError,
-    ReconstructionUnstableError,
-)
-from .pipeline import STANDARD_FAMILIES, DesignedChain, design_chain
-from .spectra import (
-    BASE_SEARCH_TOLERANCE, FAMILIES, MAX_SCAN_CANDIDATES, SpectrumSpec, commensurate_adjust,
-    generate_spectrum, max_relative_change, pst_time,
-)
+from .dynamics import EigenSystem, FidelityTrace, fidelity_trace
+from .errors import NumericalError
+from .pipeline import STANDARD_FAMILIES, DesignedChain, SpectrumStage, design_chain, spectrum_stage
+from .spectra import BASE_SEARCH_TOLERANCE, FAMILIES, MAX_SCAN_CANDIDATES, SpectrumSpec
 from .tableio import render_table
 
 EXIT_OK = 0
@@ -65,17 +58,14 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         args.handler(args)
-    except (NotCommensurateError, ReconstructionUnstableError, NoWindowError, NoEchoError) as exc:
+    except NumericalError as exc:
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:  # MemoryError: a grid or echo count too large to hold
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:  # handlers touch the file system only to write output
         print(f"configuration error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except MemoryError as exc:  # a requested grid or echo count too large to hold
-        print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_OK
 
@@ -229,24 +219,14 @@ def _grid_points(periods: float, points_per_period: int) -> int:
     return int(round(points)) + 1
 
 
-def spectrum_table(p: dict, no_adjust: bool = False) -> str:
-    spec = SpectrumSpec(
-        n_sites=p["n"], family=p["family"], exponent=p["alpha"], amplitude=p["amplitude"]
-    )
-    raw = generate_spectrum(spec)
-    if no_adjust:
-        timing = pst_time(raw)
-        spectrum, adjustment = raw, 0.0
-    else:
-        spectrum, timing = commensurate_adjust(raw, p["base_search_tolerance"])
-        adjustment = max_relative_change(raw, spectrum)
-    params = p | {"no_adjust": no_adjust}
+def spectrum_table(stage: SpectrumStage, p: dict) -> str:
+    params = p | {"no_adjust": stage.no_adjust}
     results = {
-        "t_pst": timing.t_pst,
-        "odd_multipliers": timing.odd_multipliers,
-        "max_adjustment_rel": adjustment,
+        "t_pst": stage.timing.t_pst,
+        "odd_multipliers": stage.timing.odd_multipliers,
+        "max_adjustment_rel": stage.max_adjustment,
     }
-    rows = [(k + 1, v) for k, v in enumerate(spectrum.values)]
+    rows = [(k + 1, v) for k, v in enumerate(stage.spectrum.values)]
     return render_table(_metadata("spectrum", params, results), ["level_index", "energy"], rows)
 
 
@@ -259,7 +239,7 @@ def chain_table(chain: DesignedChain, p: dict, normalize: bool = True) -> str:
         "gamma": chain.gamma,
         "j_max": j_max,
         "residual": chain.residual,
-        "max_adjustment_rel": chain.max_adjustment,
+        "max_adjustment_rel": chain.stage.max_adjustment,
     }
     rows = [(i + 1, j[i], j[i] / j_max, chain.residual) for i in range(j.size)]
     return render_table(
@@ -271,7 +251,7 @@ def chain_table(chain: DesignedChain, p: dict, normalize: bool = True) -> str:
 
 def simulate_table(chain: DesignedChain, p: dict, periods: float, points_per_period: int) -> str:
     n_points = _grid_points(periods, points_per_period)
-    trace = fidelity_trace(diagonalize(chain.couplings), 0.0, periods * chain.t_pst, n_points)
+    trace = fidelity_trace(chain.eigensystem, 0.0, periods * chain.t_pst, n_points)
     params = p | {"periods": periods, "points_per_period": points_per_period}
     rows = zip(trace.times, trace.times / chain.t_pst, trace.amplitude_abs, trace.fidelity)
     return render_table(
@@ -325,7 +305,7 @@ def sweep_table(
 
 
 def localization_table(chain: DesignedChain, p: dict) -> str:
-    pmap = site_probabilities(diagonalize(chain.couplings))
+    pmap = site_probabilities(chain.eigensystem)
     results = {
         "t_pst": chain.t_pst,
         "participation_ratio_site1": participation_ratio(pmap.p[:, 0]),
@@ -365,7 +345,7 @@ def level_shifts_table(chain: DesignedChain, p: dict, model: DisorderModel) -> s
 
 
 def window_table(chain: DesignedChain, p: dict, threshold: float, points_per_period: int) -> str:
-    eig = diagonalize(chain.couplings)
+    eig = chain.eigensystem
     # coarse trace for the first maximum, fine trace for the width
     coarse = fidelity_trace(eig, 0.0, 1.05 * chain.t_pst, int(1.05 * points_per_period) + 1)
     first = detect_first_maximum(coarse)
@@ -417,7 +397,10 @@ def _window_trace(eig: EigenSystem, t_pst: float, threshold: float) -> FidelityT
 
 
 def cmd_spectrum(args) -> None:
-    _write(args.out, spectrum_table(_parsed_family(args), args.no_adjust))
+    p = _parsed_family(args)
+    spec = SpectrumSpec(p["n"], p["family"], p["alpha"], p["amplitude"])
+    stage = spectrum_stage(spec, p["base_search_tolerance"], args.no_adjust)
+    _write(args.out, spectrum_table(stage, p))
 
 
 def cmd_chain(args) -> None:
@@ -467,7 +450,7 @@ def cmd_reproduce(args) -> None:
         p = _family_params(family, alpha, args.n)
         chain = _design(p)
         products = {
-            "spectrum": spectrum_table(p),
+            "spectrum": spectrum_table(chain.stage, p),
             "chain": chain_table(chain, p),
             "trace": simulate_table(chain, p, periods=2.0, points_per_period=2000),
             "ensemble_trace": ensemble_trace_table(chain, p, model, periods=2.0, points_per_period=200),

@@ -1,7 +1,11 @@
 """Exception types shared across the toolkit."""
 
 
-class NotCommensurateError(Exception):
+class NumericalError(Exception):
+    """A numerical failure of a well-posed request (command-line exit 3)."""
+
+
+class NotCommensurateError(NumericalError):
     """The gap structure of a spectrum admits no common odd-multiple base."""
 
 
@@ -9,7 +13,7 @@ class DegenerateGapsError(NotCommensurateError):
     """Some spectral gap is too small, relative to the largest one, to resolve."""
 
 
-class ReconstructionUnstableError(Exception):
+class ReconstructionUnstableError(NumericalError):
     """The coupling-reconstruction recursion broke down.
 
     `site_index` is the 1-based bond index at which the breakdown occurred
@@ -21,9 +25,9 @@ class ReconstructionUnstableError(Exception):
         self.site_index = site_index
 
 
-class NoWindowError(Exception):
+class NoWindowError(NumericalError):
     """No contiguous region of the fidelity trace reaches the requested threshold."""
 
 
-class NoEchoError(Exception):
+class NoEchoError(NumericalError):
     """No local fidelity maximum above the detection floor was found."""

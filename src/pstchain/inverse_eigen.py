@@ -83,7 +83,8 @@ def spectral_weights(spectrum: Spectrum) -> SpectralWeights:
     mirror-symmetric (persymmetric) Jacobi matrix having the given spectrum.
     The product is evaluated in the log domain: for ~30 well-spread
     eigenvalues it spans far more orders of magnitude than double precision
-    holds.
+    holds.  A weight that still underflows to zero raises
+    ReconstructionUnstableError.
     """
     omega = spectrum.values
     diff = np.abs(omega[:, None] - omega[None, :])
@@ -92,7 +93,12 @@ def spectral_weights(spectrum: Spectrum) -> SpectralWeights:
         raise ValueError("repeated eigenvalues: spectral weights diverge")
     log_unnorm = -np.log(diff).sum(axis=1)
     log_w = log_unnorm - logsumexp(log_unnorm)
-    return SpectralWeights(np.exp(log_w))
+    weights = np.exp(log_w)
+    if not np.all(weights > 0):
+        raise ReconstructionUnstableError(
+            f"spectral weights underflow (smallest log10 weight {log_w.min() / np.log(10):.1f})"
+        )
+    return SpectralWeights(weights)
 
 
 def reconstruct_couplings(spectrum: Spectrum) -> CouplingSet:

@@ -1,16 +1,18 @@
 """End-to-end chain design: spectrum -> commensuration -> couplings.
 
 The standard workflow generates a spectrum family member at unit amplitude,
-snaps it commensurate if needed, solves the inverse eigenvalue problem, and
-then rescales spectrum and couplings jointly so that the largest coupling is
-exactly 1 (times rescale inversely).
+snaps it commensurate if needed (the spectrum stage), solves the inverse
+eigenvalue problem, and then rescales spectrum and couplings jointly so that
+the largest coupling is exactly 1 (times rescale inversely).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .analysis import speed_ratio
+from .dynamics import EigenSystem, diagonalize
 from .inverse_eigen import CouplingSet, reconstruct_couplings, verify_reconstruction
 from .spectra import (
     BASE_SEARCH_TOLERANCE,
@@ -22,6 +24,7 @@ from .spectra import (
     commensurate_adjust,
     generate_spectrum,
     max_relative_change,
+    pst_time,
 )
 
 #: The five spectrum shapes studied throughout: (family, exponent).
@@ -35,14 +38,24 @@ STANDARD_FAMILIES = {
 
 
 @dataclass(frozen=True)
+class SpectrumStage:
+    """A PST-compatible family member before any normalization."""
+
+    spectrum: Spectrum
+    timing: PstTiming
+    max_adjustment: float
+    no_adjust: bool = False
+
+
+@dataclass(frozen=True)
 class DesignedChain:
     """A fully designed transfer chain and its headline figures of merit."""
 
     spec: SpectrumSpec
+    stage: SpectrumStage  # spectrum and timing before normalization
     spectrum: Spectrum
     couplings: CouplingSet
     timing: PstTiming
-    max_adjustment: float
     residual: float
     gamma: float
 
@@ -53,6 +66,27 @@ class DesignedChain:
     @property
     def t_pst(self) -> float:
         return self.timing.t_pst
+
+    @cached_property
+    def eigensystem(self) -> EigenSystem:
+        """The clean chain's eigensystem, solved on first use."""
+        return diagonalize(self.couplings)
+
+
+def spectrum_stage(
+    spec: SpectrumSpec,
+    base_search_tolerance: float = BASE_SEARCH_TOLERANCE,
+    no_adjust: bool = False,
+) -> SpectrumStage:
+    """Generate a family member and make it PST-compatible.
+
+    With no_adjust it is only timed: NotCommensurateError if it does not support PST.
+    """
+    raw = generate_spectrum(spec)
+    if no_adjust:
+        return SpectrumStage(raw, pst_time(raw), 0.0, no_adjust)
+    spectrum, timing = commensurate_adjust(raw, base_search_tolerance)
+    return SpectrumStage(spectrum, timing, max_relative_change(raw, spectrum))
 
 
 def design_chain(
@@ -72,25 +106,22 @@ def design_chain(
     spec = SpectrumSpec(
         n_sites=n_sites, family=family, exponent=exponent, amplitude=amplitude
     )
-    raw = generate_spectrum(spec)
-    spectrum, timing = commensurate_adjust(raw, base_search_tolerance)
-    adjustment = max_relative_change(raw, spectrum)
-    couplings = reconstruct_couplings(spectrum)
-    if normalize:
-        scale = couplings.j_max
-        couplings = couplings.scaled(1.0 / scale)
-        spectrum = spectrum.scaled(1.0 / scale)
-        timing = PstTiming(
-            t_pst=timing.t_pst * scale, odd_multipliers=timing.odd_multipliers
-        )
+    stage = spectrum_stage(spec, base_search_tolerance)
+    couplings = reconstruct_couplings(stage.spectrum)
+    scale = couplings.j_max if normalize else 1.0
+    couplings = couplings.scaled(1.0 / scale)
+    spectrum = stage.spectrum.scaled(1.0 / scale)
+    timing = PstTiming(
+        t_pst=stage.timing.t_pst * scale, odd_multipliers=stage.timing.odd_multipliers
+    )
     residual = verify_reconstruction(couplings, spectrum)
     gamma = speed_ratio(timing.t_pst, n_sites, couplings.j_max)
     return DesignedChain(
         spec=spec,
+        stage=stage,
         spectrum=spectrum,
         couplings=couplings,
         timing=timing,
-        max_adjustment=adjustment,
         residual=residual,
         gamma=gamma,
     )

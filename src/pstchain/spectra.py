@@ -139,11 +139,12 @@ def generate_spectrum(spec: SpectrumSpec) -> Spectrum:
     n = spec.n_sites
     half = (n - 1) // 2
     x = np.arange(1, half + 1, dtype=float)
-    if spec.family == CENTER:
-        upper = spec.amplitude * x ** spec.exponent
-    else:
-        anchor = (n + 1) / 2
-        upper = spec.amplitude * (anchor ** spec.exponent - (anchor - x) ** spec.exponent)
+    with np.errstate(over="ignore", invalid="ignore"):  # Spectrum rejects inf and nan
+        if spec.family == CENTER:
+            upper = spec.amplitude * x ** spec.exponent
+        else:
+            anchor = np.float64(n + 1) / 2  # a numpy scalar overflows to inf
+            upper = spec.amplitude * (anchor ** spec.exponent - (anchor - x) ** spec.exponent)
     values = np.concatenate([-upper[::-1], [0.0], upper])
     return Spectrum(values)
 

@@ -91,6 +91,16 @@ class TestChainCommand:
         assert dq[0, 2] < dl[0, 2]
         assert dq[-1, 2] < dl[-1, 2]
 
+    def test_underflowing_weights_exit_3(self, tmp_path, capsys):
+        # the spectrum is fine; its spectral weights underflow double precision
+        argv = ["--family", "center", "--alpha", "2", "--n", "501"]
+        code, _ = run(tmp_path, "c.csv", ["chain", *argv])
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("error (ReconstructionUnstableError): ") and "-391.9" in err
+        code, out = run(tmp_path, "s.csv", ["spectrum", *argv])
+        assert code == EXIT_OK and out.stat().st_size > 0
+
 
 class TestEnsembleCommand:
     def test_zero_strength_reproduces_simulate(self, tmp_path):
@@ -232,6 +242,7 @@ class TestConfigurationErrors:
         ("--base-search-tolerance", "-1", "base_search_tolerance"),
         ("--base-search-tolerance", "nan", "base_search_tolerance"),
         ("--base-search-tolerance", "1e-12", "base_search_tolerance"),
+        ("--amplitude", "1e308", "finite"),
     ])
     def test_bad_value_exits_2(self, capsys, flag, value, named):
         code = main([
@@ -242,6 +253,16 @@ class TestConfigurationErrors:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and err.count("\n") == 1
         assert named in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--family", "center", "--alpha", "2", "--amplitude", "1e308"],
+        ["--family", "boundary", "--alpha", "2", "--amplitude", "1e308"],
+        ["--family", "boundary", "--alpha", "1000"],
+    ], ids=["center-amplitude", "boundary-amplitude", "boundary-exponent"])
+    def test_overflowing_spectrum_exits_2(self, capfd, argv):
+        # nothing but the one error line reaches stderr, numpy warnings included
+        assert main(["spectrum", "--n", "31", *argv]) == EXIT_CONFIG
+        assert capfd.readouterr().err == "configuration error: spectrum values must be finite\n"
 
     @pytest.mark.parametrize("periods", ["1e306", "1e12"], ids=["overflow", "unallocatable"])
     def test_oversized_grid_exits_2(self, capsys, periods):

@@ -49,6 +49,22 @@ class TestSpectralWeights:
         with pytest.raises(ValueError, match="increasing"):
             Spectrum([-1.0, 0.0, 0.0, 1.0])
 
+    @pytest.mark.parametrize("family,alpha,n,smallest", [
+        ("center", 2.0, 501, "-391.9"),
+        ("center", 2.0, 1001, "-787.7"),
+        ("boundary", 0.5, 1001, "-569.8"),
+    ])
+    def test_underflow_is_numerical(self, family, alpha, n, smallest):
+        # the smallest weight lies below the least subnormal double (1e-324)
+        s, _ = commensurate_adjust(generate_spectrum(SpectrumSpec(n, family, alpha)))
+        with pytest.raises(ReconstructionUnstableError, match=f"smallest log10 weight {smallest}"):
+            spectral_weights(s)
+
+    def test_smallest_representable_weights_pass(self):
+        # quadratic at N = 301 reaches log10 w = -233.7, still a normal double
+        w = spectral_weights(generate_spectrum(SpectrumSpec(301, "center", 2.0))).weights
+        assert 0 < w.min() < 1e-200
+
 
 class TestReconstructCouplings:
     def test_three_site(self):
