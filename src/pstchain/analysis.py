@@ -15,6 +15,7 @@ from .disorder import DisorderModel, realizations
 from .dynamics import EigenSystem, FidelityTrace
 from .errors import NoEchoError, NoWindowError
 from .inverse_eigen import CouplingSet
+from .spectra import freeze
 
 #: Default fidelity threshold defining the read-out window.
 WINDOW_THRESHOLD = 0.99
@@ -29,9 +30,8 @@ class LocalizationMap:
     p: np.ndarray
 
     def __post_init__(self):
-        p = np.array(self.p, dtype=float)
-        p.setflags(write=False)
-        object.__setattr__(self, "p", p)
+        freeze(self, "p")
+        p = self.p
         n = p.shape[0]
         if p.ndim != 2 or p.shape != (n, n):
             raise ValueError("probability map must be square")
@@ -59,10 +59,7 @@ class LevelShiftStats:
     omega_unperturbed: np.ndarray
 
     def __post_init__(self):
-        for name in ("std", "mean_shift", "omega_unperturbed"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        freeze(self, "std", "mean_shift", "omega_unperturbed")
         if not (self.std.shape == self.mean_shift.shape == self.omega_unperturbed.shape):
             raise ValueError("per-level arrays must be aligned")
         if np.any(self.std < 0):

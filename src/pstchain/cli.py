@@ -4,9 +4,9 @@ Each subcommand computes one table and writes it as CSV with a JSON metadata
 preamble carrying the full resolved parameter set (including seeds and the
 RNG scheme), so any output file can be regenerated bit-identically from its
 own header.  Each `*_table` function renders one table from a designed chain
-(the spectrum table from a spectrum stage) and `p`, the family part of its
-header; `reproduce` designs each standard family once and renders its nine
-tables with the same functions.
+(the spectrum table from a spectrum stage), whose stage supplies the family
+part of the header; `reproduce` designs each standard family once and renders
+its nine tables with the same functions.
 
 Exit codes: 0 success, 2 configuration error (including an output path that
 cannot be written and a grid or echo count too large to allocate), 3 numerical
@@ -40,7 +40,7 @@ from .disorder import (
 )
 from .dynamics import EigenSystem, FidelityTrace, fidelity_trace
 from .errors import NumericalError
-from .pipeline import STANDARD_FAMILIES, DesignedChain, SpectrumStage, design_chain, spectrum_stage
+from .pipeline import STANDARD_FAMILIES, DesignedChain, SpectrumStage, design_chain, design_standard, spectrum_stage
 from .spectra import BASE_SEARCH_TOLERANCE, FAMILIES, MAX_SCAN_CANDIDATES, SpectrumSpec
 from .tableio import render_table
 
@@ -171,30 +171,22 @@ def _write(path, text: str) -> None:
         fh.write(text)
 
 
-def _metadata(command: str, params: dict, results: dict) -> dict:
-    meta = {"tool": "pstchain", "version": __version__, "command": command, "params": params}
-    return meta | {"results": results}
+def _metadata(command: str, stage: SpectrumStage, params: dict, results: dict) -> dict:
+    """Header of one table; the family parameters are read from its spectrum stage."""
+    spec = stage.spec
+    params = {
+        "family": spec.family,
+        "alpha": spec.exponent,
+        "n": spec.n_sites,
+        "amplitude": spec.amplitude,
+        "base_search_tolerance": stage.base_search_tolerance,
+    } | params
+    meta = {"tool": "pstchain", "version": __version__, "command": command}
+    return meta | {"params": params, "results": results}
 
 
-def _family_params(family, alpha, n, amplitude=1.0, base_search_tolerance=BASE_SEARCH_TOLERANCE) -> dict:
-    return {
-        "family": family,
-        "alpha": alpha,
-        "n": n,
-        "amplitude": amplitude,
-        "base_search_tolerance": base_search_tolerance,
-    }
-
-
-def _parsed_family(args) -> dict:
-    return _family_params(args.family, args.alpha, args.n, args.amplitude, args.base_search_tolerance)
-
-
-def _design(p: dict, normalize: bool = True) -> DesignedChain:
-    return design_chain(
-        p["n"], p["family"], p["alpha"], p["amplitude"],
-        normalize=normalize, base_search_tolerance=p["base_search_tolerance"],
-    )
+def _design(args, normalize: bool = True) -> DesignedChain:
+    return design_chain(args.n, args.family, args.alpha, args.amplitude, normalize, args.base_search_tolerance)
 
 
 def _disorder_params(model: DisorderModel) -> dict:
@@ -219,19 +211,18 @@ def _grid_points(periods: float, points_per_period: int) -> int:
     return int(round(points)) + 1
 
 
-def spectrum_table(stage: SpectrumStage, p: dict) -> str:
-    params = p | {"no_adjust": stage.no_adjust}
+def spectrum_table(stage: SpectrumStage) -> str:
     results = {
         "t_pst": stage.timing.t_pst,
         "odd_multipliers": stage.timing.odd_multipliers,
         "max_adjustment_rel": stage.max_adjustment,
     }
     rows = [(k + 1, v) for k, v in enumerate(stage.spectrum.values)]
-    return render_table(_metadata("spectrum", params, results), ["level_index", "energy"], rows)
+    meta = _metadata("spectrum", stage, {"no_adjust": stage.no_adjust}, results)
+    return render_table(meta, ["level_index", "energy"], rows)
 
 
-def chain_table(chain: DesignedChain, p: dict, normalize: bool = True) -> str:
-    params = p | {"normalize": normalize}
+def chain_table(chain: DesignedChain) -> str:
     j = chain.couplings.couplings
     j_max = chain.couplings.j_max
     results = {
@@ -243,68 +234,63 @@ def chain_table(chain: DesignedChain, p: dict, normalize: bool = True) -> str:
     }
     rows = [(i + 1, j[i], j[i] / j_max, chain.residual) for i in range(j.size)]
     return render_table(
-        _metadata("chain", params, results),
+        _metadata("chain", chain.stage, {"normalize": chain.normalize}, results),
         ["bond_index", "coupling", "coupling_over_jmax", "residual"],
         rows,
     )
 
 
-def simulate_table(chain: DesignedChain, p: dict, periods: float, points_per_period: int) -> str:
+def simulate_table(chain: DesignedChain, periods: float, points_per_period: int) -> str:
     n_points = _grid_points(periods, points_per_period)
     trace = fidelity_trace(chain.eigensystem, 0.0, periods * chain.t_pst, n_points)
-    params = p | {"periods": periods, "points_per_period": points_per_period}
+    params = {"periods": periods, "points_per_period": points_per_period}
     rows = zip(trace.times, trace.times / chain.t_pst, trace.amplitude_abs, trace.fidelity)
     return render_table(
-        _metadata("simulate", params, _chain_results(chain)),
+        _metadata("simulate", chain.stage, params, _chain_results(chain)),
         ["time", "time_over_tpst", "amplitude_abs", "fidelity"],
         rows,
     )
 
 
 def ensemble_trace_table(
-    chain: DesignedChain, p: dict, model: DisorderModel,
-    periods: float, points_per_period: int,
+    chain: DesignedChain, model: DisorderModel, periods: float, points_per_period: int
 ) -> str:
     times = np.linspace(0.0, periods * chain.t_pst, _grid_points(periods, points_per_period))
     res = run_ensemble(chain.couplings, model, times)
-    params = p | _disorder_params(model) | {
-        "periods": periods, "points_per_period": points_per_period,
-    }
+    params = _disorder_params(model) | {"periods": periods, "points_per_period": points_per_period}
     rows = zip(res.times, res.times / chain.t_pst, res.mean_fidelity, res.std_error)
     return render_table(
-        _metadata("ensemble", params, _chain_results(chain)),
+        _metadata("ensemble", chain.stage, params, _chain_results(chain)),
         ["time", "time_over_tpst", "mean_fidelity", "std_error"],
         rows,
     )
 
 
-def echoes_table(chain: DesignedChain, p: dict, model: DisorderModel, echoes: int) -> str:
+def echoes_table(chain: DesignedChain, model: DisorderModel, echoes: int) -> str:
     res = echo_decay(chain.couplings, model, echoes)
-    params = p | _disorder_params(model) | {"echoes": echoes}
+    params = _disorder_params(model) | {"echoes": echoes}
     rows = zip(range(1, res.times.size + 1), res.times, res.mean_fidelity, res.std_error)
     return render_table(
-        _metadata("ensemble", params, _chain_results(chain)),
+        _metadata("ensemble", chain.stage, params, _chain_results(chain)),
         ["echo_index", "time", "mean_fidelity", "std_error"],
         rows,
     )
 
 
-def sweep_table(
-    chain: DesignedChain, p: dict, model: DisorderModel, strengths: list[float]
-) -> str:
+def sweep_table(chain: DesignedChain, model: DisorderModel, strengths: list[float]) -> str:
     """Mean fidelity at t_pst per strength; model.epsilon is only recorded."""
     if not strengths:
         raise ValueError("--sweep needs at least one strength")
     rows = fidelity_vs_strength(chain.couplings, strengths, model.n_realizations, model.base_seed)
-    params = p | _disorder_params(model) | {"sweep": strengths}
+    params = _disorder_params(model) | {"sweep": strengths}
     return render_table(
-        _metadata("ensemble", params, _chain_results(chain)),
+        _metadata("ensemble", chain.stage, params, _chain_results(chain)),
         ["epsilon", "mean_fidelity", "std_error"],
         rows,
     )
 
 
-def localization_table(chain: DesignedChain, p: dict) -> str:
+def localization_table(chain: DesignedChain) -> str:
     pmap = site_probabilities(chain.eigensystem)
     results = {
         "t_pst": chain.t_pst,
@@ -313,13 +299,13 @@ def localization_table(chain: DesignedChain, p: dict) -> str:
     n = chain.n_sites
     rows = [(k + 1, i + 1, pmap.p[k, i]) for k in range(n) for i in range(n)]
     return render_table(
-        _metadata("analyze-localization", p, results),
+        _metadata("analyze-localization", chain.stage, {}, results),
         ["level_index", "site_index", "probability"],
         rows,
     )
 
 
-def level_shifts_table(chain: DesignedChain, p: dict, model: DisorderModel) -> str:
+def level_shifts_table(chain: DesignedChain, model: DisorderModel) -> str:
     stats = level_shift_stats(chain.couplings, model)
     results = {"normalization": stats.normalization, "t_pst": chain.t_pst}
     rows = zip(
@@ -331,7 +317,7 @@ def level_shifts_table(chain: DesignedChain, p: dict, model: DisorderModel) -> s
         stats.normalized_mean_shift,
     )
     return render_table(
-        _metadata("analyze-level-shifts", p | _disorder_params(model), results),
+        _metadata("analyze-level-shifts", chain.stage, _disorder_params(model), results),
         [
             "level_index",
             "energy",
@@ -344,13 +330,14 @@ def level_shifts_table(chain: DesignedChain, p: dict, model: DisorderModel) -> s
     )
 
 
-def window_table(chain: DesignedChain, p: dict, threshold: float, points_per_period: int) -> str:
+def window_table(chain: DesignedChain, threshold: float, points_per_period: int) -> str:
+    _grid_points(1.0, points_per_period)  # rejects points_per_period < 2, as the other traces do
     eig = chain.eigensystem
     # coarse trace for the first maximum, fine trace for the width
     coarse = fidelity_trace(eig, 0.0, 1.05 * chain.t_pst, int(1.05 * points_per_period) + 1)
     first = detect_first_maximum(coarse)
     width = window_width(_window_trace(eig, chain.t_pst, threshold), threshold)
-    params = p | {"threshold": threshold, "points_per_period": points_per_period}
+    params = {"threshold": threshold, "points_per_period": points_per_period}
     rows = [
         (
             chain.t_pst,
@@ -362,7 +349,7 @@ def window_table(chain: DesignedChain, p: dict, threshold: float, points_per_per
         )
     ]
     return render_table(
-        _metadata("analyze-window", params, _chain_results(chain)),
+        _metadata("analyze-window", chain.stage, params, _chain_results(chain)),
         ["t_pst", "gamma", "curvature", "width", "first_max_time", "first_max_fidelity"],
         rows,
     )
@@ -397,47 +384,40 @@ def _window_trace(eig: EigenSystem, t_pst: float, threshold: float) -> FidelityT
 
 
 def cmd_spectrum(args) -> None:
-    p = _parsed_family(args)
-    spec = SpectrumSpec(p["n"], p["family"], p["alpha"], p["amplitude"])
-    stage = spectrum_stage(spec, p["base_search_tolerance"], args.no_adjust)
-    _write(args.out, spectrum_table(stage, p))
+    spec = SpectrumSpec(args.n, args.family, args.alpha, args.amplitude)
+    _write(args.out, spectrum_table(spectrum_stage(spec, args.base_search_tolerance, args.no_adjust)))
 
 
 def cmd_chain(args) -> None:
-    p = _parsed_family(args)
-    normalize = not args.no_normalize
-    _write(args.out, chain_table(_design(p, normalize), p, normalize))
+    _write(args.out, chain_table(_design(args, normalize=not args.no_normalize)))
 
 
 def cmd_simulate(args) -> None:
-    p = _parsed_family(args)
-    _write(args.out, simulate_table(_design(p), p, args.periods, args.points_per_period))
+    _write(args.out, simulate_table(_design(args), args.periods, args.points_per_period))
 
 
 def cmd_ensemble(args) -> None:
     model = DisorderModel(epsilon=args.eps, n_realizations=args.nav, base_seed=args.seed)
-    p = _parsed_family(args)
-    chain = _design(p)
+    chain = _design(args)
     if args.sweep is not None:
         strengths = [float(tok) for tok in args.sweep.split(",") if tok.strip()]
-        text = sweep_table(chain, p, model, strengths)
+        text = sweep_table(chain, model, strengths)
     elif args.echoes is not None:
-        text = echoes_table(chain, p, model, args.echoes)
+        text = echoes_table(chain, model, args.echoes)
     else:
-        text = ensemble_trace_table(chain, p, model, args.periods, args.points_per_period)
+        text = ensemble_trace_table(chain, model, args.periods, args.points_per_period)
     _write(args.out, text)
 
 
 def cmd_analyze(args) -> None:
-    p = _parsed_family(args)
-    chain = _design(p)
+    chain = _design(args)
     if args.localization:
-        text = localization_table(chain, p)
+        text = localization_table(chain)
     elif args.level_shifts:
         model = DisorderModel(epsilon=args.eps, n_realizations=args.nav, base_seed=args.seed)
-        text = level_shifts_table(chain, p, model)
+        text = level_shifts_table(chain, model)
     else:
-        text = window_table(chain, p, args.threshold, args.points_per_period)
+        text = window_table(chain, args.threshold, args.points_per_period)
     _write(args.out, text)
 
 
@@ -446,19 +426,18 @@ def cmd_reproduce(args) -> None:
     model = DisorderModel(epsilon=0.01, n_realizations=args.nav, base_seed=args.seed)
     sweep = [0.01, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3]
     written = 0
-    for name, (family, alpha) in STANDARD_FAMILIES.items():
-        p = _family_params(family, alpha, args.n)
-        chain = _design(p)
+    for name in STANDARD_FAMILIES:
+        chain = design_standard(name, args.n)
         products = {
-            "spectrum": spectrum_table(chain.stage, p),
-            "chain": chain_table(chain, p),
-            "trace": simulate_table(chain, p, periods=2.0, points_per_period=2000),
-            "ensemble_trace": ensemble_trace_table(chain, p, model, periods=2.0, points_per_period=200),
-            "echoes": echoes_table(chain, p, model, echoes=9),
-            "strength_sweep": sweep_table(chain, p, model, sweep),
-            "localization": localization_table(chain, p),
-            "level_shifts": level_shifts_table(chain, p, model),
-            "window": window_table(chain, p, threshold=0.99, points_per_period=2000),
+            "spectrum": spectrum_table(chain.stage),
+            "chain": chain_table(chain),
+            "trace": simulate_table(chain, periods=2.0, points_per_period=2000),
+            "ensemble_trace": ensemble_trace_table(chain, model, periods=2.0, points_per_period=200),
+            "echoes": echoes_table(chain, model, echoes=9),
+            "strength_sweep": sweep_table(chain, model, sweep),
+            "localization": localization_table(chain),
+            "level_shifts": level_shifts_table(chain, model),
+            "window": window_table(chain, threshold=0.99, points_per_period=2000),
         }
         for stage, text in products.items():
             _write(os.path.join(args.outdir, f"{stage}_{name}.csv"), text)

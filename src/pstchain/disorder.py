@@ -15,7 +15,7 @@ import numpy as np
 
 from .dynamics import _transfer_abs, averaged_fidelity, chain_spectrum, diagonalize
 from .inverse_eigen import CouplingSet
-from .spectra import pst_time
+from .spectra import freeze, pst_time
 
 #: Identifier of the stream-derivation scheme recorded in all outputs:
 #: realization r uses Generator(PCG64(SeedSequence(base_seed, spawn_key=(r,)))).
@@ -49,15 +49,9 @@ class EnsembleResult:
     realizations_used: int
 
     def __post_init__(self):
-        t = np.array(self.times, dtype=float)
-        m = np.array(self.mean_fidelity, dtype=float)
-        s = np.array(self.std_error, dtype=float)
-        for arr in (t, m, s):
-            arr.setflags(write=False)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "mean_fidelity", m)
-        object.__setattr__(self, "std_error", s)
-        if not (t.shape == m.shape == s.shape) or t.ndim != 1:
+        freeze(self, "times", "mean_fidelity", "std_error")
+        t = self.times
+        if not (t.shape == self.mean_fidelity.shape == self.std_error.shape) or t.ndim != 1:
             raise ValueError("times, mean_fidelity and std_error must be aligned")
 
 

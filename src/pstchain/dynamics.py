@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .inverse_eigen import CouplingSet
-from .spectra import Spectrum
+from .spectra import Spectrum, freeze
 
 #: Orthonormality requirement on eigenvector matrices, max |A A^T - I|.
 ORTHONORMALITY_TOL = 1e-10
@@ -35,12 +35,8 @@ class EigenSystem:
     eigenvectors: np.ndarray
 
     def __post_init__(self):
-        vals = np.array(self.eigenvalues, dtype=float)
-        vecs = np.array(self.eigenvectors, dtype=float)
-        vals.setflags(write=False)
-        vecs.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", vals)
-        object.__setattr__(self, "eigenvectors", vecs)
+        vals = np.asarray(self.eigenvalues, dtype=float)
+        vecs = np.asarray(self.eigenvectors, dtype=float)
         n = vals.size
         if vecs.shape != (n, n):
             raise ValueError("eigenvector matrix must be square, one row per level")
@@ -52,6 +48,8 @@ class EigenSystem:
         gram.ravel()[:: n + 1] -= 1.0
         if np.max(np.abs(gram, out=gram)) > ORTHONORMALITY_TOL:
             raise ValueError("eigenvector matrix is not orthonormal")
+        del gram  # the private copy is taken only once the input has passed
+        freeze(self, "eigenvalues", "eigenvectors")
 
     @property
     def n_sites(self) -> int:
@@ -72,15 +70,9 @@ class FidelityTrace:
     fidelity: np.ndarray
 
     def __post_init__(self):
-        t = np.array(self.times, dtype=float)
-        a = np.array(self.amplitude_abs, dtype=float)
-        f = np.array(self.fidelity, dtype=float)
-        for arr in (t, a, f):
-            arr.setflags(write=False)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "amplitude_abs", a)
-        object.__setattr__(self, "fidelity", f)
-        if not (t.shape == a.shape == f.shape) or t.ndim != 1:
+        freeze(self, "times", "amplitude_abs", "fidelity")
+        t, a = self.times, self.amplitude_abs
+        if not (t.shape == a.shape == self.fidelity.shape) or t.ndim != 1:
             raise ValueError("times, amplitude_abs and fidelity must be aligned 1-D arrays")
         if np.any(a < 0) or np.any(a > 1 + 1e-9):
             raise ValueError("|f_N| must lie in [0, 1]")

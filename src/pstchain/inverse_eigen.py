@@ -15,11 +15,11 @@ from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import logsumexp
 
 from .errors import ReconstructionUnstableError
-from .spectra import Spectrum
+from .spectra import Spectrum, freeze
 
 #: Lanczos diagonal entries must stay below this fraction of omega_max.
 DIAGONAL_TOLERANCE = 1e-10
-#: A squared recursion coefficient below this fraction of omega_max aborts.
+#: A squared recursion coefficient below this fraction of omega_max**2 aborts.
 BREAKDOWN_TOLERANCE = 1e-13
 
 
@@ -34,13 +34,12 @@ class CouplingSet:
     couplings: np.ndarray
 
     def __post_init__(self):
-        j = np.array(self.couplings, dtype=float)
-        j.setflags(write=False)
-        object.__setattr__(self, "couplings", j)
+        freeze(self, "couplings")
+        j = self.couplings
         if j.ndim != 1 or j.size < 1:
             raise ValueError("couplings must be a 1-D array with at least 1 entry")
-        if np.any(j <= 0):
-            raise ValueError("all couplings must be positive")
+        if not np.all((j > 0) & (j < np.inf)):
+            raise ValueError("all couplings must be positive and finite")
 
     @property
     def n_sites(self) -> int:
@@ -67,9 +66,8 @@ class SpectralWeights:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=float)
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        freeze(self, "weights")
+        w = self.weights
         if w.ndim != 1 or np.any(w <= 0):
             raise ValueError("weights must be positive")
         if abs(w.sum() - 1.0) > 1e-12:
@@ -87,7 +85,8 @@ def spectral_weights(spectrum: Spectrum) -> SpectralWeights:
     ReconstructionUnstableError.
     """
     omega = spectrum.values
-    diff = np.abs(omega[:, None] - omega[None, :])
+    with np.errstate(over="ignore"):  # a distance past the float range gives weight 0
+        diff = np.abs(omega[:, None] - omega[None, :])
     np.fill_diagonal(diff, 1.0)
     if np.any(diff == 0.0):
         raise ValueError("repeated eigenvalues: spectral weights diverge")
@@ -112,7 +111,8 @@ def reconstruct_couplings(spectrum: Spectrum) -> CouplingSet:
 
     Raises ReconstructionUnstableError, carrying the 1-based bond index, when
     a squared off-diagonal coefficient falls below
-    BREAKDOWN_TOLERANCE * omega_max.
+    BREAKDOWN_TOLERANCE * omega_max**2 or overflows.  Both sides of that test
+    scale alike, so the result does not depend on the energy scale.
     """
     omega = spectrum.values
     omega_max = float(np.max(np.abs(omega)))
@@ -166,11 +166,14 @@ def _lanczos_coefficients(
             r -= betas[j - 1] * basis[j - 1]
         for _ in range(2):  # twice is enough
             r -= basis[: j + 1].T @ (basis[: j + 1] @ r)
-        beta_sq = float(r @ r)
-        if beta_sq <= BREAKDOWN_TOLERANCE * omega_max:
+        with np.errstate(over="ignore"):  # an overflow to inf is caught below
+            beta_sq = float(r @ r)
+        # beta^2 / omega_max^2, dividing twice so that no intermediate overflows
+        ratio = beta_sq / omega_max / omega_max
+        if not BREAKDOWN_TOLERANCE < ratio < np.inf:
             raise ReconstructionUnstableError(
-                f"recursion coefficient collapsed at bond {j + 1} "
-                f"(beta^2 = {beta_sq:.3e})",
+                f"recursion coefficient {'overflowed' if ratio == np.inf else 'collapsed'} "
+                f"at bond {j + 1} (beta^2 / omega_max^2 = {ratio:.3e})",
                 site_index=j + 1,
             )
         betas[j] = np.sqrt(beta_sq)

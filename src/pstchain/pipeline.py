@@ -39,25 +39,31 @@ STANDARD_FAMILIES = {
 
 @dataclass(frozen=True)
 class SpectrumStage:
-    """A PST-compatible family member before any normalization."""
+    """A PST-compatible family member before normalization, and its parameters."""
 
+    spec: SpectrumSpec
+    base_search_tolerance: float
+    no_adjust: bool
     spectrum: Spectrum
     timing: PstTiming
     max_adjustment: float
-    no_adjust: bool = False
 
 
 @dataclass(frozen=True)
 class DesignedChain:
     """A fully designed transfer chain and its headline figures of merit."""
 
-    spec: SpectrumSpec
-    stage: SpectrumStage  # spectrum and timing before normalization
+    stage: SpectrumStage  # parameters, spectrum and timing before normalization
+    normalize: bool
     spectrum: Spectrum
     couplings: CouplingSet
     timing: PstTiming
     residual: float
     gamma: float
+
+    @property
+    def spec(self) -> SpectrumSpec:
+        return self.stage.spec
 
     @property
     def n_sites(self) -> int:
@@ -84,9 +90,11 @@ def spectrum_stage(
     """
     raw = generate_spectrum(spec)
     if no_adjust:
-        return SpectrumStage(raw, pst_time(raw), 0.0, no_adjust)
-    spectrum, timing = commensurate_adjust(raw, base_search_tolerance)
-    return SpectrumStage(spectrum, timing, max_relative_change(raw, spectrum))
+        spectrum, timing, change = raw, pst_time(raw), 0.0
+    else:
+        spectrum, timing = commensurate_adjust(raw, base_search_tolerance)
+        change = max_relative_change(raw, spectrum)
+    return SpectrumStage(spec, base_search_tolerance, no_adjust, spectrum, timing, change)
 
 
 def design_chain(
@@ -117,8 +125,8 @@ def design_chain(
     residual = verify_reconstruction(couplings, spectrum)
     gamma = speed_ratio(timing.t_pst, n_sites, couplings.j_max)
     return DesignedChain(
-        spec=spec,
         stage=stage,
+        normalize=normalize,
         spectrum=spectrum,
         couplings=couplings,
         timing=timing,

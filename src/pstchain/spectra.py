@@ -33,6 +33,14 @@ _SCAN_BLOCK = 64
 MAX_SCAN_CANDIDATES = 4_000_000
 
 
+def freeze(obj, *names: str, dtype=float) -> None:
+    """Replace each named field of a frozen dataclass with a read-only copy."""
+    for name in names:
+        arr = np.array(getattr(obj, name), dtype=dtype)
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
+
+
 @dataclass(frozen=True)
 class SpectrumSpec:
     """Parameters selecting one member of the spectrum families.
@@ -68,9 +76,8 @@ class Spectrum:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        freeze(self, "values")
+        vals = self.values
         if vals.ndim != 1 or vals.size < 2:
             raise ValueError("spectrum must be a 1-D array with at least 2 values")
         if not np.all(np.isfinite(vals)):
@@ -114,9 +121,8 @@ class PstTiming:
     odd_multipliers: np.ndarray
 
     def __post_init__(self):
-        mult = np.array(self.odd_multipliers, dtype=int)
-        mult.setflags(write=False)
-        object.__setattr__(self, "odd_multipliers", mult)
+        freeze(self, "odd_multipliers", dtype=int)
+        mult = self.odd_multipliers
         if not self.t_pst > 0:
             raise ValueError("t_pst must be positive")
         if mult.ndim != 1 or np.any(mult <= 0) or np.any(mult % 2 == 0):
@@ -134,7 +140,9 @@ def generate_spectrum(spec: SpectrumSpec) -> Spectrum:
       center:    omega = A * sgn(x) * |x|**alpha
       boundary:  omega = A * sgn(x) * (c**alpha - (c - |x|)**alpha)
     Both are antisymmetric by construction; for integer alpha the gaps are
-    already odd integer multiples of A.
+    already odd integer multiples of A.  Finite levels that round onto each
+    other (the boundary family at large alpha) raise DegenerateGapsError;
+    levels that overflow are left to Spectrum, which rejects them.
     """
     n = spec.n_sites
     half = (n - 1) // 2
@@ -146,6 +154,11 @@ def generate_spectrum(spec: SpectrumSpec) -> Spectrum:
             anchor = np.float64(n + 1) / 2  # a numpy scalar overflows to inf
             upper = spec.amplitude * (anchor ** spec.exponent - (anchor - x) ** spec.exponent)
     values = np.concatenate([-upper[::-1], [0.0], upper])
+    if np.all(np.isfinite(values)) and not np.all(np.diff(values) > 0):
+        raise DegenerateGapsError(
+            f"{spec.family} spectrum with alpha {spec.exponent:g} and {n} sites has "
+            "levels that coincide in double precision"
+        )
     return Spectrum(values)
 
 

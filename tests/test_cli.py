@@ -1,9 +1,19 @@
 import numpy as np
 import pytest
 
-from pstchain.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from pstchain.cli import (
+    EXIT_CONFIG,
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    chain_table,
+    localization_table,
+    main,
+    simulate_table,
+    spectrum_table,
+)
 from pstchain.errors import NoWindowError
-from pstchain.pipeline import STANDARD_FAMILIES
+from pstchain.pipeline import STANDARD_FAMILIES, design_chain, spectrum_stage
+from pstchain.spectra import SpectrumSpec
 from pstchain.tableio import read_table
 
 from conftest import SEED
@@ -100,6 +110,43 @@ class TestChainCommand:
         assert err.startswith("error (ReconstructionUnstableError): ") and "-391.9" in err
         code, out = run(tmp_path, "s.csv", ["spectrum", *argv])
         assert code == EXIT_OK and out.stat().st_size > 0
+
+
+class TestNumericalBreakdownExits3:
+    @pytest.mark.parametrize("command", ["spectrum", "chain"])
+    def test_collapsed_boundary_levels(self, capfd, command):
+        # c**alpha - (c - x)**alpha rounds onto itself from alpha = 18 at N = 31
+        assert main([command, "--family", "boundary", "--alpha", "18", "--n", "31"]) == EXIT_NUMERICAL
+        err = capfd.readouterr().err
+        assert err.startswith("error (DegenerateGapsError): ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("amplitude", ["1e153", "1e300"])
+    def test_overflowing_recursion(self, capfd, amplitude):
+        argv = ["chain", "--family", "center", "--alpha", "2", "--n", "11", "--amplitude", amplitude]
+        assert main(argv) == EXIT_NUMERICAL
+        err = capfd.readouterr().err
+        assert err.startswith("error (ReconstructionUnstableError): ") and err.count("\n") == 1
+
+
+class TestHeaderFromDesign:
+    FAMILY = {"family": "boundary", "alpha": 0.5, "n": 15, "amplitude": 2.5, "base_search_tolerance": 1e-3}
+
+    def header(self, tmp_path, text):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        return read_table(path)[0]["params"]
+
+    def test_every_table_records_the_chain_it_renders(self, tmp_path):
+        chain = design_chain(15, "boundary", 0.5, 2.5, normalize=False, base_search_tolerance=1e-3)
+        assert self.header(tmp_path, chain_table(chain)) == self.FAMILY | {"normalize": False}
+        assert self.header(tmp_path, localization_table(chain)) == self.FAMILY
+        assert self.header(tmp_path, simulate_table(chain, 1.0, 10)) == self.FAMILY | {
+            "periods": 1.0, "points_per_period": 10,
+        }
+
+    def test_spectrum_table_records_its_stage(self, tmp_path):
+        stage = spectrum_stage(SpectrumSpec(15, "boundary", 0.5, 2.5), 1e-3, no_adjust=False)
+        assert self.header(tmp_path, spectrum_table(stage)) == self.FAMILY | {"no_adjust": False}
 
 
 class TestEnsembleCommand:
@@ -263,6 +310,15 @@ class TestConfigurationErrors:
         # nothing but the one error line reaches stderr, numpy warnings included
         assert main(["spectrum", "--n", "31", *argv]) == EXIT_CONFIG
         assert capfd.readouterr().err == "configuration error: spectrum values must be finite\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate"], ["ensemble", "--nav", "2"], ["analyze", "--window"],
+    ], ids=["simulate", "ensemble", "window"])
+    def test_one_point_per_period_exits_2(self, capsys, argv):
+        code = main(argv + ["--family", "center", "--alpha", "2", "--n", "11", "--points-per-period", "1"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "configuration error: periods must be positive and points-per-period >= 2\n"
 
     @pytest.mark.parametrize("periods", ["1e306", "1e12"], ids=["overflow", "unallocatable"])
     def test_oversized_grid_exits_2(self, capsys, periods):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
@@ -14,6 +16,7 @@ from pstchain.dynamics import (
     transfer_amplitude,
 )
 from pstchain.inverse_eigen import CouplingSet
+from pstchain.pipeline import design_standard
 from pstchain.spectra import SpectrumSpec, generate_spectrum
 
 from conftest import SEED
@@ -87,6 +90,19 @@ class TestDiagonalize:
             assert not np.shares_memory(arr, couplings.couplings)
             assert not np.shares_memory(arr, other.eigenvalues)
             assert not np.shares_memory(arr, other.eigenvectors)
+
+
+    def test_peak_memory_holds_two_matrices_at_n301(self):
+        # the solver's output and either the Gram check or the private copy,
+        # never all three at once
+        couplings = design_standard("linear", 301).couplings
+        tracemalloc.start()
+        try:
+            diagonalize(couplings)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 301**2 * 8
 
 
 class TestTransferAmplitude:

@@ -117,6 +117,19 @@ class TestReconstructCouplings:
         alphas, _ = _lanczos_coefficients(s.values, spectral_weights(s).weights)
         assert np.max(np.abs(alphas)) < 1e-10 * s.omega_max
 
+    @pytest.mark.parametrize("amplitude", [1e-12, 1e-100])
+    def test_design_is_independent_of_the_energy_scale(self, amplitude):
+        # the breakdown test weighs beta^2 against omega_max^2, both energies squared
+        ref = design_chain(11, "center", 2.0).couplings.couplings
+        scaled = design_chain(11, "center", 2.0, amplitude=amplitude).couplings.couplings
+        np.testing.assert_allclose(scaled, ref, rtol=1e-12)
+
+    @pytest.mark.parametrize("amplitude", [1e153, 1e300])
+    def test_overflowing_recursion_is_numerical(self, amplitude):
+        s = generate_spectrum(SpectrumSpec(11, "center", 2.0, amplitude))
+        with pytest.raises(ReconstructionUnstableError, match="overflowed"):
+            reconstruct_couplings(s)
+
     def test_quadratic_ends_below_linear(self):
         quad = design_chain(31, "center", 2.0).couplings.couplings
         lin = design_chain(31, "center", 1.0).couplings.couplings
@@ -168,6 +181,11 @@ class TestCouplingSet:
     def test_positive_required(self):
         with pytest.raises(ValueError, match="positive"):
             CouplingSet([1.0, -1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_finite_required(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            CouplingSet([bad, 1.0])
 
     def test_scaled(self):
         J = CouplingSet([1.0, 2.0]).scaled(0.5)

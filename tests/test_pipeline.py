@@ -17,7 +17,7 @@ from pstchain.errors import (
     NumericalError,
     ReconstructionUnstableError,
 )
-from pstchain.pipeline import STANDARD_FAMILIES, design_standard, spectrum_stage
+from pstchain.pipeline import STANDARD_FAMILIES, design_chain, design_standard, spectrum_stage
 from pstchain.spectra import SpectrumSpec, generate_spectrum
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -88,6 +88,13 @@ class TestSpectrumStage:
         assert stage.no_adjust and stage.max_adjustment == 0.0
         assert stage.spectrum.values.tobytes() == generate_spectrum(spec).values.tobytes()
         assert stage.timing.t_pst == pytest.approx(np.pi)
+
+    def test_design_records_what_was_designed(self):
+        chain = design_chain(15, "boundary", 0.5, 2.5, normalize=False, base_search_tolerance=1e-3)
+        assert chain.spec is chain.stage.spec
+        assert chain.spec == SpectrumSpec(15, "boundary", 0.5, 2.5)
+        assert chain.stage.base_search_tolerance == 1e-3
+        assert not chain.stage.no_adjust and not chain.normalize
 
     def test_no_adjust_rejects_an_incommensurate_spectrum(self):
         with pytest.raises(NotCommensurateError):

@@ -1,12 +1,17 @@
-"""The bytes of a small `pstchain reproduce` run, pinned by sha256.
+"""The bytes of a small `pstchain reproduce` run and of single subcommands.
 
 The products are meant to be bitwise reproducible within a version, so any
-change to a product byte shows up here.  A change that alters bytes on
-purpose updates these pins and records in CHANGES.md a numeric diff of the
-old and new files together with the tolerance it was checked against.
+change to a product byte shows up here as a changed sha256.  The subcommand
+runs set the header fields that `reproduce` leaves at their defaults:
+amplitude, search tolerance, no_adjust, normalize, grids and disorder.  A
+change that alters bytes on purpose updates these pins and records in
+CHANGES.md a numeric diff of the old and new files together with the
+tolerance it was checked against.
 """
 
 import hashlib
+
+import pytest
 
 from pstchain.cli import EXIT_OK, main
 
@@ -58,6 +63,31 @@ PINNED_SHA256 = {
     "window_sqrt_center.csv": "00cfc4faf23256553c95dc95a6ae4d97d85e442a0b96b59cdaced807e2a37207",
 }
 
+SUBCOMMAND_SHA256 = {
+    "spectrum --family center --alpha 0.5 --n 15":
+        "6136e0be83fd1e5a2da1d19330e4487948ee98d0e0bcf069089c06e965f907c6",
+    "spectrum --family center --alpha 1 --n 15 --no-adjust":
+        "af6ee60ada1bb818f8f11d0d69f3dd87238f3e74bd293f3d6f168f9667ce3ae5",
+    "chain --family boundary --alpha 2 --n 15 --amplitude 2.5":
+        "aba9c849cbc30349c61f8029170b6c057ffe684ce049fe0046bfc844a55421e0",
+    "chain --family boundary --alpha 0.5 --n 15 --no-normalize --base-search-tolerance 1e-3":
+        "fb33fa7819ff3fc7f6ce3fd03d8614c10e63d2e4eb1fc6e8466d0b7996979d11",
+    "simulate --family center --alpha 2 --n 11 --periods 1.5 --points-per-period 300":
+        "534041961346d123b7add2704c4a25fd2bcc0dd23c18ef3fe1c9a9da2ddb629d",
+    "ensemble --family center --alpha 2 --n 11 --eps 0.02 --nav 10 --seed 3":
+        "6edbdf96b5cd3e4e861fc5da7d67e0e38c0b28b06c3b148e9c7960f3d210dda7",
+    "ensemble --family center --alpha 2 --n 11 --eps 0.02 --nav 10 --seed 3 --echoes 4":
+        "182d517784b05120c7d74e11d5f341a7f4d81b415899e5e884a420189e3d7f0f",
+    "ensemble --family center --alpha 2 --n 11 --eps 0.02 --nav 10 --seed 3 --sweep 0.05,0.1":
+        "1bdff9c52b73ac2081448d185c7ddd94ddf1597596018199a9e8ebd5048a5216",
+    "analyze --family center --alpha 2 --n 11 --localization":
+        "bee407212b907d943eb64228b3e676771927facab57860431df42a6d85985583",
+    "analyze --family center --alpha 2 --n 11 --level-shifts --eps 0.02 --nav 10 --seed 3":
+        "3edfb2d2ab977c40c687b45c2b2de549bb778c49244523bfa3043a929025f0b7",
+    "analyze --family center --alpha 2 --n 11 --window --points-per-period 300":
+        "139f1c7d388b131b24d3b5220424453c0e67a4ba3dfacbd82a83aeb16a21cf1d",
+}
+
 
 def test_reproduce_bytes_match_pins(tmp_path):
     code = main(["reproduce", "--outdir", str(tmp_path), "--n", "9", "--nav", "5", "--seed", "3"])
@@ -69,3 +99,10 @@ def test_reproduce_bytes_match_pins(tmp_path):
     changed = sorted(name for name in PINNED_SHA256 if digests.get(name) != PINNED_SHA256[name])
     assert sorted(digests) == sorted(PINNED_SHA256)
     assert changed == []
+
+
+@pytest.mark.parametrize("command", SUBCOMMAND_SHA256)
+def test_subcommand_bytes_match_pins(tmp_path, command):
+    out = tmp_path / "out.csv"
+    assert main(command.split() + ["--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SUBCOMMAND_SHA256[command]

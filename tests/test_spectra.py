@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from pstchain.spectra import (
     SpectrumSpec,
     commensurate_adjust,
     generate_spectrum,
+    freeze,
     max_relative_change,
     pst_time,
 )
@@ -70,6 +72,30 @@ class TestGenerateSpectrum:
         assert c[15] < c[-1]
         b = generate_spectrum(spec(31, "boundary", 2.0)).gaps
         assert b[-1] < b[15]
+
+
+    @pytest.mark.parametrize("n,alpha", [(31, 18.0), (101, 11.5), (301, 9.0), (1001, 7.0)])
+    def test_collapsed_boundary_levels_are_numerical(self, n, alpha):
+        # c**alpha - (c - x)**alpha rounds onto itself near the edge; half a
+        # unit of alpha lower, the levels are still distinct
+        with pytest.raises(DegenerateGapsError, match="coincide"):
+            generate_spectrum(spec(n, "boundary", alpha))
+        assert np.all(np.diff(generate_spectrum(spec(n, "boundary", alpha - 0.5)).values) > 0)
+
+
+class TestFreeze:
+    def test_fields_become_read_only_copies(self):
+        @dataclass(frozen=True)
+        class Pair:
+            first: object
+            second: object
+
+        source = np.array([1.5, 2.5])
+        pair = Pair([1, 3], source)
+        freeze(pair, "first", "second", dtype=float)
+        assert pair.first.dtype == float and pair.second.dtype == float
+        assert not pair.first.flags.writeable and not pair.second.flags.writeable
+        assert not np.shares_memory(pair.second, source)
 
 
 class TestSpectrumType:
