@@ -29,6 +29,7 @@ from .dynamics import (
     averaged_fidelity,
     chain_spectrum,
     diagonalize,
+    end_to_end,
     fidelity_trace,
 )
 from .errors import (
@@ -37,6 +38,7 @@ from .errors import (
     NotCommensurateError,
     NoWindowError,
     NumericalError,
+    ProductIdentityError,
     ReconstructionUnstableError,
 )
 from .inverse_eigen import (

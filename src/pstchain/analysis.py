@@ -116,17 +116,18 @@ def level_shift_stats(couplings: CouplingSet, model: DisorderModel) -> LevelShif
     )
 
 
-def window_curvature(eig: EigenSystem) -> float:
+def window_curvature(transfer: tuple[np.ndarray, np.ndarray]) -> float:
     """Curvature of |f_N|^2 at the transfer peak of a mirror-symmetric chain.
 
+    Takes (levels, products) as `dynamics.end_to_end` returns them.
     kappa = sum_{k,s} p_k p_s (omega_k - omega_s)^2 with p the first-site
-    probabilities, so that |f_N(t_pst + dt)|^2 ~ 1 - (dt^2/2) kappa.  The
-    expansion is asymptotic: it holds in the regime dt * sqrt(kappa) << 1, and
-    the next term is + mu4 dt^4 / 24 with
-    mu4 = sum_{k,s} p_k p_s (omega_k - omega_s)^4.
+    probabilities, which mirror symmetry makes p_k = |a_{k,1} a_{k,N}|, so
+    that |f_N(t_pst + dt)|^2 ~ 1 - (dt^2/2) kappa.  The expansion is
+    asymptotic: it holds in the regime dt * sqrt(kappa) << 1, and the next
+    term is + mu4 dt^4 / 24 with mu4 = sum_{k,s} p_k p_s (omega_k - omega_s)^4.
     """
-    p = eig.eigenvectors[:, 0] ** 2
-    return _pair_curvature(eig.eigenvalues, p)
+    levels, products = transfer
+    return _pair_curvature(levels, np.abs(products))
 
 
 def _pair_curvature(omega: np.ndarray, p: np.ndarray) -> float:

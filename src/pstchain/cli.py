@@ -11,7 +11,8 @@ its nine tables with the same functions.
 Exit codes: 0 success, 2 configuration error (including an output path that
 cannot be written and a grid or echo count too large to allocate), 3 numerical
 failure (incommensurate spectrum, unstable reconstruction or underflowing
-spectral weights, no read-out window or no echo).
+spectral weights, end-to-end products failing their checks, no read-out
+window or no echo).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .disorder import (
     fidelity_vs_strength,
     run_ensemble,
 )
-from .dynamics import EigenSystem, FidelityTrace, fidelity_trace
+from .dynamics import FidelityTrace, fidelity_trace
 from .errors import NumericalError
 from .pipeline import STANDARD_FAMILIES, DesignedChain, SpectrumStage, design_chain, design_standard, spectrum_stage
 from .spectra import BASE_SEARCH_TOLERANCE, FAMILIES, MAX_SCAN_CANDIDATES, SpectrumSpec
@@ -205,6 +206,9 @@ def _chain_results(chain: DesignedChain) -> dict:
 def _grid_points(periods: float, points_per_period: int) -> int:
     if not 0 < periods < np.inf or points_per_period < 2:
         raise ValueError("periods must be positive and points-per-period >= 2")
+    # an exact int/float comparison; converting such an int would raise OverflowError
+    if points_per_period > sys.float_info.max:
+        raise ValueError("points-per-period is too large to hold as a grid")
     points = periods * points_per_period
     if not points < np.inf:
         raise ValueError("periods * points-per-period is too large to hold as a grid")
@@ -242,7 +246,7 @@ def chain_table(chain: DesignedChain) -> str:
 
 def simulate_table(chain: DesignedChain, periods: float, points_per_period: int) -> str:
     n_points = _grid_points(periods, points_per_period)
-    trace = fidelity_trace(chain.eigensystem, 0.0, periods * chain.t_pst, n_points)
+    trace = fidelity_trace(chain.end_to_end, 0.0, periods * chain.t_pst, n_points)
     params = {"periods": periods, "points_per_period": points_per_period}
     rows = zip(trace.times, trace.times / chain.t_pst, trace.amplitude_abs, trace.fidelity)
     return render_table(
@@ -331,18 +335,20 @@ def level_shifts_table(chain: DesignedChain, model: DisorderModel) -> str:
 
 
 def window_table(chain: DesignedChain, threshold: float, points_per_period: int) -> str:
-    _grid_points(1.0, points_per_period)  # rejects points_per_period < 2, as the other traces do
-    eig = chain.eigensystem
+    # rejects what the other traces reject, and a coarse grid 1.05 * points_per_period
+    # past the float range
+    _grid_points(1.05, points_per_period)
+    transfer = chain.end_to_end
     # coarse trace for the first maximum, fine trace for the width
-    coarse = fidelity_trace(eig, 0.0, 1.05 * chain.t_pst, int(1.05 * points_per_period) + 1)
+    coarse = fidelity_trace(transfer, 0.0, 1.05 * chain.t_pst, int(1.05 * points_per_period) + 1)
     first = detect_first_maximum(coarse)
-    width = window_width(_window_trace(eig, chain.t_pst, threshold), threshold)
+    width = window_width(_window_trace(transfer, chain.t_pst, threshold), threshold)
     params = {"threshold": threshold, "points_per_period": points_per_period}
     rows = [
         (
             chain.t_pst,
             chain.gamma,
-            window_curvature(eig),
+            window_curvature(transfer),
             width,
             first.first_max_time,
             first.first_max_fidelity,
@@ -355,7 +361,7 @@ def window_table(chain: DesignedChain, threshold: float, points_per_period: int)
     )
 
 
-def _window_trace(eig: EigenSystem, t_pst: float, threshold: float) -> FidelityTrace:
+def _window_trace(transfer: tuple[np.ndarray, np.ndarray], t_pst: float, threshold: float) -> FidelityTrace:
     """Fine trace around t_pst that holds the whole region with F >= threshold.
 
     It starts on [0.93, 1.07] t_pst, which holds the widest 0.99-window among
@@ -364,7 +370,7 @@ def _window_trace(eig: EigenSystem, t_pst: float, threshold: float) -> FidelityT
     """
     block = 0.07 * t_pst
     step = block / 14000
-    parts = [fidelity_trace(eig, 0.93 * t_pst, 1.07 * t_pst, 28001)]
+    parts = [fidelity_trace(transfer, 0.93 * t_pst, 1.07 * t_pst, 28001)]
     while True:
         trace = FidelityTrace(*(
             np.concatenate([getattr(part, name) for part in parts])
@@ -376,9 +382,9 @@ def _window_trace(eig: EigenSystem, t_pst: float, threshold: float) -> FidelityT
         peak = int(np.argmax(trace.fidelity))
         start, end = trace.times[0], trace.times[-1]
         if start > 0 and above[: peak + 1].all():
-            parts.insert(0, fidelity_trace(eig, start - block, start - step, 14000))
+            parts.insert(0, fidelity_trace(transfer, start - block, start - step, 14000))
         elif end < 2 * t_pst and above[peak:].all():
-            parts.append(fidelity_trace(eig, end + step, end + block, 14000))
+            parts.append(fidelity_trace(transfer, end + step, end + block, 14000))
         else:
             return trace
 

@@ -5,6 +5,10 @@ tridiagonal matrix with the couplings on the off-diagonal (and zero diagonal
 here, since local fields vanish).  All time evolution is done spectrally, so
 commensurate chains are exactly periodic instead of drifting the way a step
 integrator would.
+
+End-to-end transfer needs only the levels omega_k and the products
+a_{k,1} a_{k,N}, which `end_to_end` takes from the eigenvalues alone; the
+full eigensystem (`diagonalize`) is solved only where eigenvectors are read.
 """
 
 from __future__ import annotations
@@ -14,10 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
+from .errors import ProductIdentityError
 from .inverse_eigen import CouplingSet
 from .spectra import Spectrum, freeze
 
-#: Orthonormality requirement on eigenvector matrices, max |A A^T - I|.
+#: Orthonormality requirement on eigenvector matrices, max |A A^T - I|, and on
+#: end-to-end products, |sum_k P_k| and sum_k |P_k| - 1.
 ORTHONORMALITY_TOL = 1e-10
 #: Most time points per block of the phase sum, which bounds its time x N matrix.
 PHASE_BLOCK = 1024
@@ -88,6 +94,44 @@ def diagonalize(couplings: CouplingSet) -> EigenSystem:
     return EigenSystem(eigenvalues=vals, eigenvectors=a)
 
 
+def end_to_end(couplings: CouplingSet) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending levels and end-to-end products P_k = a_{k,1} a_{k,N}.
+
+    For a Jacobi matrix, P_k = prod_i J_i / prod_{j != k} (omega_k - omega_j),
+    so no eigenvector is solved.  The identity is evaluated in the log domain
+    on one N x N scratch array of log|omega_k - omega_j|, with the sign
+    (-1)^(N-1-k) of the denominator.  Two checks to ORTHONORMALITY_TOL stand
+    in for a Gram check: |sum_k P_k| <= tol (completeness gives 0, and so
+    does the identity for any distinct levels, so this tests the evaluation)
+    and sum_k |P_k| <= 1 + tol (Cauchy-Schwarz; levels squeezed together
+    inflate the products past it).  Neither detects two levels whose gap is
+    near the solver's error, whose products are then inaccurate.
+
+    Raises ProductIdentityError when computed levels coincide or a check
+    fails.  Both arrays are read-only.
+    """
+    levels = couplings.eigenvalues()
+    n = levels.size
+    if not np.all(np.diff(levels) > 0):
+        raise ProductIdentityError(f"computed levels of the {n}-site chain coincide")
+    log_gaps = np.subtract.outer(levels, levels)
+    np.abs(log_gaps, out=log_gaps)
+    log_gaps.ravel()[:: n + 1] = 1.0  # log 1 = 0 leaves j = k out of the sum
+    log_p = np.log(couplings.couplings).sum() - np.log(log_gaps, out=log_gaps).sum(axis=1)
+    # capped at e: a |P_k| > 1 fails the check below anyway, and exp cannot overflow
+    products = np.exp(np.minimum(log_p, 1.0, out=log_p), out=log_p)
+    products[n - 2 :: -2] *= -1.0
+    total, mass = abs(products.sum()), np.abs(products).sum()
+    if not (total <= ORTHONORMALITY_TOL and mass <= 1.0 + ORTHONORMALITY_TOL):
+        raise ProductIdentityError(
+            f"end-to-end products of the {n}-site chain fail the completeness checks: "
+            f"|sum P_k| = {total:.3g}, sum |P_k| = {mass:.17g}"
+        )
+    levels.setflags(write=False)
+    products.setflags(write=False)
+    return levels, products
+
+
 def chain_spectrum(couplings: CouplingSet) -> Spectrum:
     """Eigenvalues of a zero-field chain as an exactly antisymmetric Spectrum.
 
@@ -99,12 +143,12 @@ def chain_spectrum(couplings: CouplingSet) -> Spectrum:
     return Spectrum(0.5 * (vals - vals[::-1]))
 
 
-def transfer_amplitude(eig: EigenSystem, t: float) -> complex:
-    """End-to-end amplitude f_N(t) = sum_k a_{k,N} a_{k,1} exp(-i omega_k t)."""
+def transfer_amplitude(transfer: tuple[np.ndarray, np.ndarray], t: float) -> complex:
+    """End-to-end amplitude f_N(t) = sum_k P_k exp(-i omega_k t) of (levels, products)."""
     if t < 0:
         raise ValueError("time must be non-negative")
-    phases = np.exp(-1j * eig.eigenvalues * t)
-    return complex(np.sum(eig.end_to_end_products * phases))
+    levels, products = transfer
+    return complex(np.sum(products * np.exp(-1j * levels * t)))
 
 
 def site_amplitudes(eig: EigenSystem, t: float) -> np.ndarray:
@@ -133,20 +177,20 @@ def averaged_fidelity(amplitude_abs):
 
 
 def fidelity_trace(
-    eig: EigenSystem, t_start: float, t_end: float, n_points: int
+    transfer: tuple[np.ndarray, np.ndarray], t_start: float, t_end: float, n_points: int
 ) -> FidelityTrace:
-    """Evaluate |f_N| and F on a uniform time grid."""
+    """Evaluate |f_N| and F on a uniform time grid from (levels, products)."""
     if not t_start < t_end:
         raise ValueError("need t_start < t_end")
     if n_points < 2:
         raise ValueError("need at least 2 grid points")
     times = np.linspace(t_start, t_end, n_points)
-    amp = _transfer_abs(eig, times)
+    amp = _transfer_abs(transfer, times)
     return FidelityTrace(times=times, amplitude_abs=amp, fidelity=averaged_fidelity(amp))
 
 
-def _transfer_abs(eig: EigenSystem, times: np.ndarray) -> np.ndarray:
-    """|f_N(t)| on a time grid, clipped at 1 against rounding.
+def _transfer_abs(transfer: tuple[np.ndarray, np.ndarray], times: np.ndarray) -> np.ndarray:
+    """|f_N(t)| of (levels, products) on a time grid, clipped at 1 against rounding.
 
     The grid is evaluated in near-equal blocks of at most PHASE_BLOCK points,
     so memory stays bounded on long grids.  From two rows on, each row's sum
@@ -155,10 +199,11 @@ def _transfer_abs(eig: EigenSystem, times: np.ndarray) -> np.ndarray:
     one-row product on another path whose last bits differ.  Each block's
     phases are exponentiated in place.
     """
+    levels, products = transfer
     n_blocks = -(-times.size // PHASE_BLOCK) or 1
     edges = [times.size * i // n_blocks for i in range(n_blocks + 1)]
     amp = np.empty(times.size)
     for a, b in zip(edges, edges[1:]):
-        phases = -1j * np.outer(times[a:b], eig.eigenvalues)
-        amp[a:b] = np.abs(np.exp(phases, out=phases) @ eig.end_to_end_products)
+        phases = -1j * np.outer(times[a:b], levels)
+        amp[a:b] = np.abs(np.exp(phases, out=phases) @ products)
     return np.minimum(amp, 1.0, out=amp)

@@ -31,3 +31,10 @@ class NoWindowError(NumericalError):
 
 class NoEchoError(NumericalError):
     """No local fidelity maximum above the detection floor was found."""
+
+
+class ProductIdentityError(NumericalError):
+    """End-to-end products from the eigenvalues alone broke down.
+
+    Computed levels coincide, or the products fail their completeness checks.
+    """

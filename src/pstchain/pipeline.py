@@ -11,8 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .analysis import speed_ratio
-from .dynamics import EigenSystem, diagonalize
+from .dynamics import EigenSystem, diagonalize, end_to_end
 from .inverse_eigen import CouplingSet, reconstruct_couplings, verify_reconstruction
 from .spectra import (
     BASE_SEARCH_TOLERANCE,
@@ -74,8 +76,13 @@ class DesignedChain:
         return self.timing.t_pst
 
     @cached_property
+    def end_to_end(self) -> tuple[np.ndarray, np.ndarray]:
+        """The clean chain's levels and end-to-end products, computed on first use."""
+        return end_to_end(self.couplings)
+
+    @cached_property
     def eigensystem(self) -> EigenSystem:
-        """The clean chain's eigensystem, solved on first use."""
+        """The clean chain's eigensystem, solved on first use, for the tables that read eigenvectors."""
         return diagonalize(self.couplings)
 
 

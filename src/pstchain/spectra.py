@@ -180,9 +180,12 @@ def pst_time(spectrum: Spectrum, tolerance: float = GAP_ODDNESS_RTOL) -> PstTimi
     divisors = np.arange(1, _MAX_BASE_DIVISOR + 1, 2, dtype=float)
     for start in range(0, divisors.size, _SCAN_BLOCK):
         block = divisors[start:start + _SCAN_BLOCK]
-        ratios = gaps[None, :] * (block[:, None] / g_min)
-        nearest_odd = 2.0 * np.floor(ratios / 2.0) + 1.0
-        admissible = np.abs(ratios - nearest_odd) <= tolerance * ratios
+        # below g_min ~ 1e-304 large divisors overflow the ratios to inf, and
+        # inf - inf = nan, which is never admissible
+        with np.errstate(over="ignore", invalid="ignore"):
+            ratios = gaps[None, :] * (block[:, None] / g_min)
+            nearest_odd = 2.0 * np.floor(ratios / 2.0) + 1.0
+            admissible = np.abs(ratios - nearest_odd) <= tolerance * ratios
         rows = np.nonzero(admissible.all(axis=1))[0]
         if rows.size:
             best = int(rows[0])
@@ -240,6 +243,10 @@ def commensurate_adjust(
         raise DegenerateGapsError(
             f"smallest gap {g_min:g} is below {base_search_tolerance:g} x largest "
             f"gap {g_max:g}; cannot resolve a common base"
+        )
+    if g_min < np.finfo(float).tiny:
+        raise DegenerateGapsError(
+            f"smallest gap {g_min:g} is subnormal; cannot resolve a common base"
         )
 
     try:

@@ -15,7 +15,7 @@ from pstchain.analysis import (
     window_width,
 )
 from pstchain.disorder import DisorderModel, perturb_couplings, run_ensemble
-from pstchain.dynamics import FidelityTrace, diagonalize, fidelity_trace
+from pstchain.dynamics import FidelityTrace, diagonalize, end_to_end, fidelity_trace
 from pstchain.errors import NoEchoError, NoWindowError
 from pstchain.inverse_eigen import CouplingSet
 
@@ -130,8 +130,7 @@ class TestLevelShiftStats:
 class TestWindowCurvature:
     def test_two_site(self):
         J = 0.8
-        eig = diagonalize(CouplingSet([J]))
-        assert window_curvature(eig) == pytest.approx(2.0 * J**2, rel=1e-12)
+        assert window_curvature(end_to_end(CouplingSet([J]))) == pytest.approx(2.0 * J**2, rel=1e-12)
 
     def test_concentrated_weights_limit(self):
         omega = np.array([-2.0, 0.0, 2.0])
@@ -142,14 +141,13 @@ class TestWindowCurvature:
         # sum_k w_k omega_k^2 is the (1,1) element of H^2, i.e. J_1^2, and the
         # site-1 mean of omega vanishes, so kappa = 2 J_1^2 exactly
         for chain in chains31.values():
-            eig = diagonalize(chain.couplings)
             j1 = chain.couplings.couplings[0]
-            assert window_curvature(eig) == pytest.approx(2.0 * j1**2, rel=1e-10)
+            assert window_curvature(end_to_end(chain.couplings)) == pytest.approx(2.0 * j1**2, rel=1e-10)
 
     def test_quadratic_flatter_than_linear(self, chains31):
         assert window_curvature(
-            diagonalize(chains31["quadratic"].couplings)
-        ) < window_curvature(diagonalize(chains31["linear"].couplings))
+            end_to_end(chains31["quadratic"].couplings)
+        ) < window_curvature(end_to_end(chains31["linear"].couplings))
 
 
 class TestWindowWidth:
@@ -157,9 +155,9 @@ class TestWindowWidth:
         # invert F = s/3 + s^2/6 + 1/2 at the threshold: s0 = sqrt(6 F0 - 2) - 1,
         # then |sin(J t)| >= s0 around the peak has width (pi - 2 asin s0) / J
         J, threshold = 1.1, 0.99
-        eig = diagonalize(CouplingSet([J]))
+        transfer = end_to_end(CouplingSet([J]))
         t_peak = np.pi / (2.0 * J)
-        tr = fidelity_trace(eig, 0.0, 2.0 * t_peak, 40001)
+        tr = fidelity_trace(transfer, 0.0, 2.0 * t_peak, 40001)
         s0 = np.sqrt(6.0 * threshold - 2.0) - 1.0
         expected = (np.pi - 2.0 * np.arcsin(s0)) / J
         assert window_width(tr, threshold) == pytest.approx(expected, rel=1e-6)
@@ -168,29 +166,29 @@ class TestWindowWidth:
         widths = {}
         for name in ("linear", "quadratic"):
             chain = chains31[name]
-            eig = diagonalize(chain.couplings)
-            tr = fidelity_trace(eig, 0.95 * chain.t_pst, 1.05 * chain.t_pst, 8001)
+            transfer = end_to_end(chain.couplings)
+            tr = fidelity_trace(transfer, 0.95 * chain.t_pst, 1.05 * chain.t_pst, 8001)
             widths[name] = window_width(tr, 0.99)
         assert widths["quadratic"] > widths["linear"]
 
     def test_nested_thresholds(self, chains31):
         chain = chains31["linear"]
-        eig = diagonalize(chain.couplings)
-        tr = fidelity_trace(eig, 0.9 * chain.t_pst, 1.1 * chain.t_pst, 8001)
+        transfer = end_to_end(chain.couplings)
+        tr = fidelity_trace(transfer, 0.9 * chain.t_pst, 1.1 * chain.t_pst, 8001)
         w95 = window_width(tr, 0.95)
         w99 = window_width(tr, 0.99)
         w999 = window_width(tr, 0.999)
         assert w999 < w99 < w95
 
     def test_no_window(self):
-        eig = diagonalize(CouplingSet([1.0]))
-        tr = fidelity_trace(eig, 0.0, 0.3, 100)  # peak far beyond the trace
+        transfer = end_to_end(CouplingSet([1.0]))
+        tr = fidelity_trace(transfer, 0.0, 0.3, 100)  # peak far beyond the trace
         with pytest.raises(NoWindowError):
             window_width(tr, 0.99)
 
     def test_threshold_validation(self, chains31):
-        eig = diagonalize(chains31["linear"].couplings)
-        tr = fidelity_trace(eig, 0.0, 1.0, 10)
+        transfer = end_to_end(chains31["linear"].couplings)
+        tr = fidelity_trace(transfer, 0.0, 1.0, 10)
         with pytest.raises(ValueError):
             window_width(tr, 0.4)
 
@@ -198,22 +196,22 @@ class TestWindowWidth:
 class TestDetectFirstMaximum:
     def test_linear_first_maximum_is_transfer(self, chains31):
         chain = chains31["linear"]
-        tr = fidelity_trace(diagonalize(chain.couplings), 0.0, 1.05 * chain.t_pst, 4001)
+        tr = fidelity_trace(end_to_end(chain.couplings), 0.0, 1.05 * chain.t_pst, 4001)
         found = detect_first_maximum(tr)
         assert found.first_max_time == pytest.approx(chain.t_pst, rel=1e-4)
         assert found.first_max_fidelity == pytest.approx(1.0, abs=1e-6)
 
     def test_sqrt_center_echo_precedes_transfer(self, chains31):
         chain = chains31["sqrt_center"]
-        tr = fidelity_trace(diagonalize(chain.couplings), 0.0, 1.05 * chain.t_pst, 8001)
+        tr = fidelity_trace(end_to_end(chain.couplings), 0.0, 1.05 * chain.t_pst, 8001)
         found = detect_first_maximum(tr)
         assert found.first_max_time < 0.5 * chain.t_pst
         assert found.first_max_fidelity < 0.99
 
     def test_two_site(self):
         J = 0.9
-        eig = diagonalize(CouplingSet([J]))
-        tr = fidelity_trace(eig, 0.0, 2.5 * np.pi / J, 4001)
+        transfer = end_to_end(CouplingSet([J]))
+        tr = fidelity_trace(transfer, 0.0, 2.5 * np.pi / J, 4001)
         found = detect_first_maximum(tr)
         assert found.first_max_time == pytest.approx(np.pi / (2.0 * J), rel=1e-4)
 

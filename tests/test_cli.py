@@ -12,6 +12,7 @@ from pstchain.cli import (
     spectrum_table,
 )
 from pstchain.errors import NoWindowError
+from pstchain.inverse_eigen import CouplingSet
 from pstchain.pipeline import STANDARD_FAMILIES, design_chain, spectrum_stage
 from pstchain.spectra import SpectrumSpec
 from pstchain.tableio import read_table
@@ -126,6 +127,26 @@ class TestNumericalBreakdownExits3:
         assert main(argv) == EXIT_NUMERICAL
         err = capfd.readouterr().err
         assert err.startswith("error (ReconstructionUnstableError): ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["chain", "--amplitude", "1e-320"],
+        ["chain", "--amplitude", "5e-324"],
+        ["spectrum", "--amplitude", "1e-320", "--no-adjust"],
+    ], ids=["chain", "smallest-subnormal", "no-adjust"])
+    def test_subnormal_spectrum(self, capfd, argv):
+        # the smallest gap is subnormal; no numpy warning reaches stderr
+        command, *rest = argv
+        assert main([command, "--family", "center", "--alpha", "2", "--n", "11", *rest]) == EXIT_NUMERICAL
+        err = capfd.readouterr().err
+        assert err.startswith("error (") and "Error): " in err and err.count("\n") == 1
+
+    def test_coinciding_levels_of_a_realization(self, monkeypatch, capfd):
+        solve = CouplingSet.eigenvalues
+        monkeypatch.setattr(CouplingSet, "eigenvalues", lambda self: np.sort(np.r_[solve(self)[1:], solve(self)[1]]))
+        argv = ["ensemble", "--family", "center", "--alpha", "2", "--n", "11", "--nav", "2"]
+        assert main(argv) == EXIT_NUMERICAL
+        err = capfd.readouterr().err
+        assert err == "error (ProductIdentityError): computed levels of the 11-site chain coincide\n"
 
 
 class TestHeaderFromDesign:
@@ -327,6 +348,19 @@ class TestConfigurationErrors:
         code = main([
             "simulate", "--family", "center", "--alpha", "2", "--n", "9", "--periods", periods,
         ])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,value", [
+        (["simulate"], 10**400),
+        (["ensemble", "--nav", "2"], 10**400),
+        (["analyze", "--window"], 10**400),
+        (["analyze", "--window"], 175 * 10**306),
+    ], ids=["simulate", "ensemble", "window", "window-coarse-grid"])
+    def test_points_per_period_past_float_range_exits_2(self, capsys, argv, value):
+        # 175e306 is a float, but the window's 1.05x coarse grid is not
+        code = main(argv + ["--family", "center", "--alpha", "2", "--n", "11", "--points-per-period", str(value)])
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and err.count("\n") == 1

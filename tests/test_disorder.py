@@ -11,7 +11,7 @@ from pstchain.disorder import (
     realizations,
     run_ensemble,
 )
-from pstchain.dynamics import diagonalize, fidelity_trace, transfer_amplitude, averaged_fidelity
+from pstchain.dynamics import diagonalize, end_to_end, fidelity_trace, transfer_amplitude, averaged_fidelity
 from pstchain.errors import NotCommensurateError
 from pstchain.inverse_eigen import CouplingSet
 
@@ -89,7 +89,7 @@ class TestRunEnsemble:
         chain = chains31["linear"]
         times = np.linspace(0.0, 2.0 * chain.t_pst, 101)
         res = run_ensemble(chain.couplings, model(eps=0.0, nav=7), times)
-        clean = fidelity_trace(diagonalize(chain.couplings), 0.0, 2.0 * chain.t_pst, 101)
+        clean = fidelity_trace(end_to_end(chain.couplings), 0.0, 2.0 * chain.t_pst, 101)
         np.testing.assert_array_equal(res.mean_fidelity, clean.fidelity)
         np.testing.assert_array_equal(res.std_error, np.zeros(101))
 
@@ -101,9 +101,11 @@ class TestRunEnsemble:
         res = run_ensemble(chain.couplings, m, times)
         samples = []
         for r in range(12):
+            # the full eigensystem, independent of the kernel's product identity
             eig = diagonalize(perturb_couplings(chain.couplings, m, r))
+            transfer = (eig.eigenvalues, eig.end_to_end_products)
             samples.append([
-                averaged_fidelity(abs(transfer_amplitude(eig, t))) for t in times
+                averaged_fidelity(abs(transfer_amplitude(transfer, t))) for t in times
             ])
         samples = np.array(samples)
         np.testing.assert_allclose(res.mean_fidelity, samples.mean(axis=0), atol=1e-14)
@@ -113,6 +115,24 @@ class TestRunEnsemble:
         assert res.realizations_used == 12
         assert np.all(res.mean_fidelity >= 0.5 - 3.0 * res.std_error)
         assert np.all(res.mean_fidelity <= 1.0 + 3.0 * res.std_error)
+
+    def test_realizations_solve_no_eigenvectors(self, chains31, monkeypatch):
+        import pstchain.disorder as disorder
+        import pstchain.dynamics as dynamics
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an eigenvector solve per realization")
+
+        for module in (disorder, dynamics):
+            monkeypatch.setattr(module, "diagonalize", forbidden)
+        monkeypatch.setattr(dynamics, "eigh_tridiagonal", forbidden)
+        kernel, solved = disorder.end_to_end, []
+        monkeypatch.setattr(disorder, "end_to_end", lambda c: solved.append(c) or kernel(c))
+        chain = chains31["quadratic_boundary"]
+        run_ensemble(chain.couplings, model(eps=0.05, nav=6), [chain.t_pst])
+        echo_decay(chain.couplings, model(eps=0.05, nav=6), 3)
+        fidelity_vs_strength(chain.couplings, [0.0, 0.1], 6, SEED)
+        assert len(solved) == 6 + 6 + 1 + 6
 
     def test_thread_pool_matches_serial(self, chains31):
         chain = chains31["linear"]

@@ -1,22 +1,28 @@
+import functools
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from pstchain.disorder import DisorderModel, perturb_couplings
 from pstchain.dynamics import (
+    ORTHONORMALITY_TOL,
     PHASE_BLOCK,
     EigenSystem,
     averaged_fidelity,
     chain_spectrum,
     diagonalize,
+    end_to_end,
     fidelity_trace,
     site_amplitudes,
     transfer_amplitude,
 )
+from pstchain.errors import ProductIdentityError
 from pstchain.inverse_eigen import CouplingSet
-from pstchain.pipeline import design_standard
+from pstchain.pipeline import STANDARD_FAMILIES, design_standard
 from pstchain.spectra import SpectrumSpec, generate_spectrum
 
 from conftest import SEED
@@ -105,29 +111,98 @@ class TestDiagonalize:
         assert peak < 2.5 * 301**2 * 8
 
 
+@functools.lru_cache(maxsize=None)
+def _designed(name, n_sites):
+    return design_standard(name, n_sites).couplings
+
+
+def _perturbed(couplings, eps, seed):
+    return perturb_couplings(couplings, DisorderModel(epsilon=eps, n_realizations=1, base_seed=seed), 0)
+
+
+def _assert_matches_eigenvectors(couplings):
+    levels, products = end_to_end(couplings)
+    eig = diagonalize(couplings)
+    np.testing.assert_array_equal(levels, couplings.eigenvalues())
+    np.testing.assert_allclose(products, eig.end_to_end_products, rtol=0, atol=1e-12)
+    h = np.diag(couplings.couplings, 1)
+    values, vectors = np.linalg.eigh(h + h.T)
+    np.testing.assert_allclose(levels, values, rtol=0, atol=1e-12 * np.abs(values).max())
+    np.testing.assert_allclose(products, vectors[0] * vectors[-1], rtol=0, atol=1e-12)
+    assert abs(products.sum()) <= ORTHONORMALITY_TOL
+
+
+_PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+_STRENGTH = st.floats(0.0, 0.3)
+_SEED = st.integers(0, 2**63)
+
+
+class TestEndToEnd:
+    @_PROPERTY
+    @given(name=st.sampled_from(sorted(STANDARD_FAMILIES)), half=st.integers(1, 150), eps=_STRENGTH, seed=_SEED)
+    def test_designed_chains_match_eigenvectors(self, name, half, eps, seed):
+        _assert_matches_eigenvectors(_perturbed(_designed(name, 2 * half + 1), eps, seed))
+
+    @_PROPERTY
+    @given(n_sites=st.integers(2, 301), eps=_STRENGTH, seed=_SEED)
+    def test_uniform_chains_of_any_length_match_eigenvectors(self, n_sites, eps, seed):
+        # even lengths too, which no standard family has
+        _assert_matches_eigenvectors(_perturbed(CouplingSet(np.ones(n_sites - 1)), eps, seed))
+
+    def test_two_site_closed_form(self):
+        levels, products = end_to_end(CouplingSet([0.6]))
+        np.testing.assert_array_equal(levels, [-0.6, 0.6])
+        np.testing.assert_allclose(products, [-0.5, 0.5], rtol=0, atol=1e-16)
+
+    def test_returns_read_only_arrays(self, chains31):
+        for arr in end_to_end(chains31["linear"].couplings):
+            assert not arr.flags.writeable
+
+    def test_coinciding_computed_levels_raise(self):
+        # two dimers joined by 1e-300: the solver returns -1, -1, 1, 1
+        with pytest.raises(ProductIdentityError, match="coincide"):
+            end_to_end(CouplingSet([1.0, 1e-300, 1.0]))
+
+    @pytest.mark.parametrize("n_sites", [2, 31, 301])
+    def test_forced_coinciding_levels_raise(self, monkeypatch, n_sites):
+        solve = CouplingSet.eigenvalues
+        monkeypatch.setattr(CouplingSet, "eigenvalues", lambda self: np.sort(np.r_[solve(self)[1:], solve(self)[1]]))
+        with pytest.raises(ProductIdentityError, match="coincide"):
+            end_to_end(CouplingSet(np.ones(n_sites - 1)))
+
+    @pytest.mark.parametrize("shrink", [1e-6, 1e-3])
+    def test_compressed_levels_fail_the_checks(self, monkeypatch, chains31, shrink):
+        # levels scaled by s < 1 scale every product by s^-(N-1), so their
+        # moduli sum past 1
+        solve = CouplingSet.eigenvalues
+        monkeypatch.setattr(CouplingSet, "eigenvalues", lambda self: solve(self) * (1 - shrink))
+        with pytest.raises(ProductIdentityError, match="completeness"):
+            end_to_end(chains31["quadratic"].couplings)
+
+
 class TestTransferAmplitude:
     def test_zero_time(self, chains31):
         for chain in chains31.values():
-            eig = diagonalize(chain.couplings)
-            assert abs(transfer_amplitude(eig, 0.0)) < 1e-12
+            transfer = end_to_end(chain.couplings)
+            assert abs(transfer_amplitude(transfer, 0.0)) < 1e-12
 
     def test_two_site_rabi(self):
         J = 0.7
-        eig = diagonalize(CouplingSet([J]))
+        transfer = end_to_end(CouplingSet([J]))
         for t in np.linspace(0.0, 9.0, 40):
-            assert abs(transfer_amplitude(eig, t)) == pytest.approx(
+            assert abs(transfer_amplitude(transfer, t)) == pytest.approx(
                 abs(np.sin(J * t)), abs=1e-13
             )
 
     def test_pst_at_transfer_time(self, chains31):
         for chain in chains31.values():
-            eig = diagonalize(chain.couplings)
-            assert abs(transfer_amplitude(eig, chain.t_pst)) == pytest.approx(1.0, abs=1e-9)
+            transfer = end_to_end(chain.couplings)
+            assert abs(transfer_amplitude(transfer, chain.t_pst)) == pytest.approx(1.0, abs=1e-9)
 
     def test_negative_time_rejected(self, chains31):
-        eig = diagonalize(chains31["linear"].couplings)
+        transfer = end_to_end(chains31["linear"].couplings)
         with pytest.raises(ValueError):
-            transfer_amplitude(eig, -0.1)
+            transfer_amplitude(transfer, -0.1)
 
     def test_unitarity_over_sites(self, chains31):
         eig = diagonalize(chains31["quadratic"].couplings)
@@ -158,32 +233,32 @@ class TestAveragedFidelity:
 class TestFidelityTrace:
     def test_two_site_closed_form(self):
         J = 1.3
-        eig = diagonalize(CouplingSet([J]))
-        tr = fidelity_trace(eig, 0.0, 5.0, 501)
+        transfer = end_to_end(CouplingSet([J]))
+        tr = fidelity_trace(transfer, 0.0, 5.0, 501)
         expected = np.abs(np.sin(J * tr.times)) / 3 + np.sin(J * tr.times) ** 2 / 6 + 0.5
         np.testing.assert_allclose(tr.fidelity, expected, atol=1e-12)
 
     def test_linear_chain_periodic_return(self, chains31):
         chain = chains31["linear"]
-        eig = diagonalize(chain.couplings)
-        tr = fidelity_trace(eig, 0.0, 2.0 * chain.t_pst, 2001)
+        transfer = end_to_end(chain.couplings)
+        tr = fidelity_trace(transfer, 0.0, 2.0 * chain.t_pst, 2001)
         assert tr.fidelity[1000] == pytest.approx(1.0, abs=1e-9)  # grid point at t_pst
         # strict periodicity: F(2 t_pst - t) traces the return of F(t)
         np.testing.assert_allclose(tr.fidelity, tr.fidelity[::-1], atol=1e-8)
 
     def test_periodicity_two_periods(self, chains31):
         chain = chains31["quadratic"]
-        eig = diagonalize(chain.couplings)
-        a = fidelity_trace(eig, 0.0, 0.5 * chain.t_pst, 800)
+        transfer = end_to_end(chain.couplings)
+        a = fidelity_trace(transfer, 0.0, 0.5 * chain.t_pst, 800)
         b = fidelity_trace(
-            eig, 2.0 * chain.t_pst, 2.5 * chain.t_pst, 800
+            transfer, 2.0 * chain.t_pst, 2.5 * chain.t_pst, 800
         )
         np.testing.assert_allclose(a.fidelity, b.fidelity, atol=1e-8)
 
     def test_quadratic_no_early_maximum(self, chains31):
         chain = chains31["quadratic"]
-        eig = diagonalize(chain.couplings)
-        tr = fidelity_trace(eig, 0.0, chain.t_pst, 4001)
+        transfer = end_to_end(chain.couplings)
+        tr = fidelity_trace(transfer, 0.0, chain.t_pst, 4001)
         early = tr.fidelity[: int(0.95 * 4001)]
         assert early.max() < 1.0 - 1e-4
         assert tr.fidelity[-1] == pytest.approx(1.0, abs=1e-9)
@@ -193,19 +268,20 @@ class TestFidelityTrace:
         # three and four blocks; 2 * PHASE_BLOCK + 1 would leave a one-row
         # block under fixed-size blocking, whose sum differs in the last bits
         chain = chains31["sqrt_center"]
-        eig = diagonalize(chain.couplings)
-        tr = fidelity_trace(eig, 0.0, 2.5 * chain.t_pst, n_points)
-        phases = np.exp(-1j * np.outer(tr.times, eig.eigenvalues))
-        amp = np.minimum(np.abs(phases @ eig.end_to_end_products), 1.0)
+        transfer = end_to_end(chain.couplings)
+        tr = fidelity_trace(transfer, 0.0, 2.5 * chain.t_pst, n_points)
+        levels, products = transfer
+        phases = np.exp(-1j * np.outer(tr.times, levels))
+        amp = np.minimum(np.abs(phases @ products), 1.0)
         np.testing.assert_array_equal(tr.amplitude_abs, amp)
         np.testing.assert_array_equal(tr.fidelity, averaged_fidelity(amp))
 
     def test_grid_validation(self, chains31):
-        eig = diagonalize(chains31["linear"].couplings)
+        transfer = end_to_end(chains31["linear"].couplings)
         with pytest.raises(ValueError):
-            fidelity_trace(eig, 1.0, 0.5, 100)
+            fidelity_trace(transfer, 1.0, 0.5, 100)
         with pytest.raises(ValueError):
-            fidelity_trace(eig, 0.0, 1.0, 1)
+            fidelity_trace(transfer, 0.0, 1.0, 1)
 
 
 class TestMirrorSymmetry:

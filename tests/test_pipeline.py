@@ -15,6 +15,7 @@ from pstchain.errors import (
     NotCommensurateError,
     NoWindowError,
     NumericalError,
+    ProductIdentityError,
     ReconstructionUnstableError,
 )
 from pstchain.pipeline import STANDARD_FAMILIES, design_chain, design_standard, spectrum_stage
@@ -56,6 +57,7 @@ class TestDesignOnce:
         solves = collections.Counter(args[0].couplings.tobytes() for args, _ in solved)
         for _, chain in designed:
             assert solves[chain.couplings.couplings.tobytes()] == 1
+        assert len(solved) == len(designed)  # only the localization tables read eigenvectors
 
     def test_design_solves_no_eigensystem(self, monkeypatch):
         solved = _record_calls(monkeypatch, dynamics, "diagonalize")
@@ -103,7 +105,7 @@ class TestSpectrumStage:
 
 @pytest.mark.parametrize("error", [
     NotCommensurateError, DegenerateGapsError, ReconstructionUnstableError,
-    NoWindowError, NoEchoError,
+    NoWindowError, NoEchoError, ProductIdentityError,
 ])
 def test_numerical_errors_share_one_base(error):
     assert issubclass(error, NumericalError) and not issubclass(error, ValueError)

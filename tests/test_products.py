@@ -21,16 +21,16 @@ PINNED_SHA256 = {
     "chain_quadratic_boundary.csv": "bb6462271d6cde18ac57733890753589b0bf91238d4fd03e9ff25a8e5b5c3518",
     "chain_sqrt_boundary.csv": "ec398c8f533c5d6baae4e70883347d9d0c709c840ef02272b3003b44a227c452",
     "chain_sqrt_center.csv": "b3e0f977e66e1aa01072988c3a24480a9898a400d7277a60d2b78d85d4dd4c9d",
-    "echoes_linear.csv": "175bbb7f5569728c820d3c42d4b7bce760933adbef84c6e0bcf297fab461df66",
-    "echoes_quadratic.csv": "e76b69e59000dc1c9a13a211aedd551c6214fc0c5bafadc671627ec73b5ba672",
-    "echoes_quadratic_boundary.csv": "dc42d7ba61964d6fae95d46cf9821289cf7192e2a04c884bd67d06c965f4a0b7",
-    "echoes_sqrt_boundary.csv": "9d8f62349f688fcbef567156270d9a626e68f7c50eb3d4aaf8b9f91dfcec18f6",
-    "echoes_sqrt_center.csv": "d24e86e9e8ca494d0cfa794e4736599efc8891b1f0ba7102c69580ce3da17a62",
-    "ensemble_trace_linear.csv": "87c52a3540bfdb9ab7a6e1d7fb6fe7d90d4f34d0ec15ed838a80fd8b4e48f217",
-    "ensemble_trace_quadratic.csv": "ee8cf02cd7e7feacaaf6f16717e8ceea531b5b2d4dd076cf1028c574076e0abe",
-    "ensemble_trace_quadratic_boundary.csv": "d245ad0310ffe6ea13e83bbdef54a8ccabe64334b049aafc44da2806d8d7e5f2",
-    "ensemble_trace_sqrt_boundary.csv": "1155c553a895d40362cdc13101abaf546b269abe92695b102df4634b0227dd0f",
-    "ensemble_trace_sqrt_center.csv": "bb7fa8207c5f9113989b82ea4b99c0f7fa4c36a9a3af4b233fd51d97f28d1f93",
+    "echoes_linear.csv": "520e54cc97ecaa5d04d442805cd6e580b1614a50e2165c9923b8d06f2793bbc6",
+    "echoes_quadratic.csv": "999ebddf1cfc6e42de3ee5c2502a2b96c3799704a90d35a325da92b076e5cf4d",
+    "echoes_quadratic_boundary.csv": "ccc9b727dcfa1abe600b3cfec2510b9b0ecaaa7ad20c0076beec3da7309d6088",
+    "echoes_sqrt_boundary.csv": "da2f959503e7d4fb4daf7b13db6a1c20319c502904e9df47025af083fcbceff2",
+    "echoes_sqrt_center.csv": "e8307a2fec17bc11c63f76d0ca86a9626b8ca23e55aaa1e9ab45612d5a7efa90",
+    "ensemble_trace_linear.csv": "53cc2e1f7e061f271a61dfbc9af21f42a35910629660ce4a28d6dc073f5b5e80",
+    "ensemble_trace_quadratic.csv": "7be00cb75b6caa2161d1f5802806a81b69e1099d2868d51dd35b89dad6275644",
+    "ensemble_trace_quadratic_boundary.csv": "4f673774cd3d3d3fb6262c9fbfe3026798b7cadbeacf4c38bdceb968afc69560",
+    "ensemble_trace_sqrt_boundary.csv": "c11d28389fd0b359b1b7a5ec741c5f048e6ce226914561b9f1c26ac8eacc9a02",
+    "ensemble_trace_sqrt_center.csv": "9b4f12353944314950573ecf73271a1fa2e4c6c7d811b6b4902b750c5d4bb635",
     "level_shifts_linear.csv": "699b929d4b848f553ad132871343d6bd169d149c9d4cace89a5b745ae1cf1dd5",
     "level_shifts_quadratic.csv": "e963e95f15378162abdcc8a24c4f33b55561a993ff73a8fa71a7a4df6fce3120",
     "level_shifts_quadratic_boundary.csv": "131f553a44947ccdf6082d1922a62f6ed74933acf3e21b50fec5e37b2e4d9ed6",
@@ -46,21 +46,21 @@ PINNED_SHA256 = {
     "spectrum_quadratic_boundary.csv": "e4956393819c30662e0c97bb340092869e800cbacb3c09556c0eeb9137cd6b1d",
     "spectrum_sqrt_boundary.csv": "1b67ef10e6b1d3e7a8d812e1caccb74a046cb4a36974686a5f06e5e586c7693c",
     "spectrum_sqrt_center.csv": "e954b8a66703495b75a5abc65019f51b9d634df05292fb12436ef8fd8eb46e16",
-    "strength_sweep_linear.csv": "a9e339c229e336960e8037d57ce5d0b0215c0003d872d3f701340aefb203fcac",
-    "strength_sweep_quadratic.csv": "4fc00a163cd48d63a018c818ac6dbd971cd3919f03c14a7e901722c805b22c82",
-    "strength_sweep_quadratic_boundary.csv": "c743475df25762ca1c35a81b156bc3972aebc3e2609b70aeb4bd63d003c72af7",
-    "strength_sweep_sqrt_boundary.csv": "94c5aaba29ee5297fadfbca4d6e5db273af9d89d24e2329d2b938c7b1eec1bd1",
-    "strength_sweep_sqrt_center.csv": "9f92fbd21aec8057d5e264acfcf98efecb3ec55cf8cec6eafdd70a02f0b9ed46",
-    "trace_linear.csv": "e15d58d8b0774ee71d354e34f50b7bd1361b32011c45d578f2055246d173c0f8",
-    "trace_quadratic.csv": "afd97531c727ced3b9aa0bf4e18046401fb9ebb8fdf6a8d30fea23dfca491b28",
-    "trace_quadratic_boundary.csv": "1a626d7d4018bbb526a186b076764e7245b0051878ef61234821450693aec59f",
-    "trace_sqrt_boundary.csv": "ba112431ff9d3d0b91d2b8b97ce2ce465fa7e085a755bdc85848d7b2a2d2e502",
-    "trace_sqrt_center.csv": "c21b8fe7d9fb7b61fa4cc542ab7fc064ab4d46f5c36cdc2e65375739b6b6679f",
-    "window_linear.csv": "6007267c5d22d08fec715c8f52b2a6bd183264eedc28f01e7bd34b2f2ae2570e",
-    "window_quadratic.csv": "69ca27d3aef49c4bda5af6078cadbd6a6eecda5e29b30957e5a8c0030089b37b",
-    "window_quadratic_boundary.csv": "e3bcde595b67bd43e40c7f80ca23c52ab3b59c68cf860b2bf9337d440a2984aa",
-    "window_sqrt_boundary.csv": "2acc6f6c43bd954d21c43a705645aae664c107915180076ea607b94f78c2ba24",
-    "window_sqrt_center.csv": "00cfc4faf23256553c95dc95a6ae4d97d85e442a0b96b59cdaced807e2a37207",
+    "strength_sweep_linear.csv": "25d70352b2a7882cbc559828ff6cb320db7bdfa1a36028a16e056bc320007fb7",
+    "strength_sweep_quadratic.csv": "3c5d29b3f68b29679e8680268e469d74be3de207d8ccc10a532695cfc926ee43",
+    "strength_sweep_quadratic_boundary.csv": "6d21b21e376d33e188a5958a7c490902e13a6daab8a6892d6164ede7f5e4abda",
+    "strength_sweep_sqrt_boundary.csv": "c6687b7d2ed4b5aad183ec413c3638ba9f2aedcda48f0163f16a18a6e2d982c3",
+    "strength_sweep_sqrt_center.csv": "a0859f2a9ca5ef7e08218e1acfdf97f98f226fa504c1aa460872574faca24210",
+    "trace_linear.csv": "cc6ba9ffa70df64285e04c37c9662878cc307a18e38d6c18da5983dba637e492",
+    "trace_quadratic.csv": "21073e566bc5ae700c65c43fe1208a7356ede529d56d1a11ee17c10b225e2aff",
+    "trace_quadratic_boundary.csv": "0e5372695a915166af8d22f2858f8f9fef540088f12999e1331f6b23e9c66c9d",
+    "trace_sqrt_boundary.csv": "8d5f92e6c90bf88af08e552c4b7ca503fdd508209833d9f1117394006cfb8dee",
+    "trace_sqrt_center.csv": "823a3db21c211fb843e66bd095f52f8c402422a41408104bb257cdb15c084d8c",
+    "window_linear.csv": "e6f2cbd04858ce967abb65354992a403c092e3b71eb8f93d70e7d808eaa2d662",
+    "window_quadratic.csv": "43f1026495fe05352253f029cf8a393b4517436f91a25b4893f43056cae1ac8a",
+    "window_quadratic_boundary.csv": "b36c707ef786422d886c8659911d78809427922224f6d5bc124ec1d28351d479",
+    "window_sqrt_boundary.csv": "20e2e8d29b98c53decb7ceadf94e18e59980b16a7acd98e88fdb9cfe7609c2c3",
+    "window_sqrt_center.csv": "22334640580523dd6ce260ec26dc6ee1ca1cfa93363a25070d47eb0475b584b6",
 }
 
 SUBCOMMAND_SHA256 = {
@@ -73,19 +73,19 @@ SUBCOMMAND_SHA256 = {
     "chain --family boundary --alpha 0.5 --n 15 --no-normalize --base-search-tolerance 1e-3":
         "fb33fa7819ff3fc7f6ce3fd03d8614c10e63d2e4eb1fc6e8466d0b7996979d11",
     "simulate --family center --alpha 2 --n 11 --periods 1.5 --points-per-period 300":
-        "534041961346d123b7add2704c4a25fd2bcc0dd23c18ef3fe1c9a9da2ddb629d",
+        "bb6bf80a25f631a42b9a0516af059423f59dd0f6a451ade4bfa8081e5a89e66c",
     "ensemble --family center --alpha 2 --n 11 --eps 0.02 --nav 10 --seed 3":
-        "6edbdf96b5cd3e4e861fc5da7d67e0e38c0b28b06c3b148e9c7960f3d210dda7",
+        "95f03d3c6671ff7cd586960674ecd691ee7ebce8dd9727440ad4dcfc282dad13",
     "ensemble --family center --alpha 2 --n 11 --eps 0.02 --nav 10 --seed 3 --echoes 4":
-        "182d517784b05120c7d74e11d5f341a7f4d81b415899e5e884a420189e3d7f0f",
+        "2c80ba04e47642f0765293662b3ffd23145a108c11dae167da86234a35f5286f",
     "ensemble --family center --alpha 2 --n 11 --eps 0.02 --nav 10 --seed 3 --sweep 0.05,0.1":
-        "1bdff9c52b73ac2081448d185c7ddd94ddf1597596018199a9e8ebd5048a5216",
+        "8ff21722988f21fcddee6911d1d6e455c721383ff30031edcb85ad91a9056607",
     "analyze --family center --alpha 2 --n 11 --localization":
         "bee407212b907d943eb64228b3e676771927facab57860431df42a6d85985583",
     "analyze --family center --alpha 2 --n 11 --level-shifts --eps 0.02 --nav 10 --seed 3":
         "3edfb2d2ab977c40c687b45c2b2de549bb778c49244523bfa3043a929025f0b7",
     "analyze --family center --alpha 2 --n 11 --window --points-per-period 300":
-        "139f1c7d388b131b24d3b5220424453c0e67a4ba3dfacbd82a83aeb16a21cf1d",
+        "119147a794c4ebcaf8a1b8a548472a1ad9a74c08fa4ec91606b16574c73b7241",
 }
 
 
