@@ -130,7 +130,14 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--nav", type=int, default=1000, help="realizations (level-shift mode, default 1000)")
     ana.add_argument("--seed", type=int, default=0, help="base seed (level-shift mode)")
     ana.add_argument("--threshold", type=float, default=0.99, help="window fidelity threshold (window mode, default 0.99)")
-    ana.add_argument("--points-per-period", type=int, default=2000, help="trace resolution (window mode)")
+    ana.add_argument(
+        "--points-per-period",
+        type=int,
+        default=2000,
+        help="points per t_pst of the coarse first-maximum grid on [0, 1.05 t_pst] (window mode, "
+        "default 2000); the width's fine trace is fixed at 28001 points on [0.93, 1.07] t_pst, "
+        "extended in blocks of 14000 points",
+    )
     _add_output_arg(ana)
     ana.set_defaults(handler=cmd_analyze)
 
@@ -212,7 +219,9 @@ def _grid_points(periods: float, points_per_period: int) -> int:
     points = periods * points_per_period
     if not points < np.inf:
         raise ValueError("periods * points-per-period is too large to hold as a grid")
-    return int(round(points)) + 1
+    if round(points) < 1:
+        raise ValueError("need at least 2 grid points")
+    return round(points) + 1
 
 
 def spectrum_table(stage: SpectrumStage) -> str:
@@ -221,9 +230,9 @@ def spectrum_table(stage: SpectrumStage) -> str:
         "odd_multipliers": stage.timing.odd_multipliers,
         "max_adjustment_rel": stage.max_adjustment,
     }
-    rows = [(k + 1, v) for k, v in enumerate(stage.spectrum.values)]
+    energy = stage.spectrum.values
     meta = _metadata("spectrum", stage, {"no_adjust": stage.no_adjust}, results)
-    return render_table(meta, ["level_index", "energy"], rows)
+    return render_table(meta, {"level_index": np.arange(1, energy.size + 1), "energy": energy})
 
 
 def chain_table(chain: DesignedChain) -> str:
@@ -236,11 +245,14 @@ def chain_table(chain: DesignedChain) -> str:
         "residual": chain.residual,
         "max_adjustment_rel": chain.stage.max_adjustment,
     }
-    rows = [(i + 1, j[i], j[i] / j_max, chain.residual) for i in range(j.size)]
     return render_table(
         _metadata("chain", chain.stage, {"normalize": chain.normalize}, results),
-        ["bond_index", "coupling", "coupling_over_jmax", "residual"],
-        rows,
+        {
+            "bond_index": np.arange(1, j.size + 1),
+            "coupling": j,
+            "coupling_over_jmax": j / j_max,
+            "residual": np.full(j.size, chain.residual),
+        },
     )
 
 
@@ -248,11 +260,14 @@ def simulate_table(chain: DesignedChain, periods: float, points_per_period: int)
     n_points = _grid_points(periods, points_per_period)
     trace = fidelity_trace(chain.end_to_end, 0.0, periods * chain.t_pst, n_points)
     params = {"periods": periods, "points_per_period": points_per_period}
-    rows = zip(trace.times, trace.times / chain.t_pst, trace.amplitude_abs, trace.fidelity)
     return render_table(
         _metadata("simulate", chain.stage, params, _chain_results(chain)),
-        ["time", "time_over_tpst", "amplitude_abs", "fidelity"],
-        rows,
+        {
+            "time": trace.times,
+            "time_over_tpst": trace.times / chain.t_pst,
+            "amplitude_abs": trace.amplitude_abs,
+            "fidelity": trace.fidelity,
+        },
     )
 
 
@@ -262,22 +277,28 @@ def ensemble_trace_table(
     times = np.linspace(0.0, periods * chain.t_pst, _grid_points(periods, points_per_period))
     res = run_ensemble(chain.couplings, model, times)
     params = _disorder_params(model) | {"periods": periods, "points_per_period": points_per_period}
-    rows = zip(res.times, res.times / chain.t_pst, res.mean_fidelity, res.std_error)
     return render_table(
         _metadata("ensemble", chain.stage, params, _chain_results(chain)),
-        ["time", "time_over_tpst", "mean_fidelity", "std_error"],
-        rows,
+        {
+            "time": res.times,
+            "time_over_tpst": res.times / chain.t_pst,
+            "mean_fidelity": res.mean_fidelity,
+            "std_error": res.std_error,
+        },
     )
 
 
 def echoes_table(chain: DesignedChain, model: DisorderModel, echoes: int) -> str:
     res = echo_decay(chain.couplings, model, echoes)
     params = _disorder_params(model) | {"echoes": echoes}
-    rows = zip(range(1, res.times.size + 1), res.times, res.mean_fidelity, res.std_error)
     return render_table(
         _metadata("ensemble", chain.stage, params, _chain_results(chain)),
-        ["echo_index", "time", "mean_fidelity", "std_error"],
-        rows,
+        {
+            "echo_index": np.arange(1, res.times.size + 1),
+            "time": res.times,
+            "mean_fidelity": res.mean_fidelity,
+            "std_error": res.std_error,
+        },
     )
 
 
@@ -285,12 +306,11 @@ def sweep_table(chain: DesignedChain, model: DisorderModel, strengths: list[floa
     """Mean fidelity at t_pst per strength; model.epsilon is only recorded."""
     if not strengths:
         raise ValueError("--sweep needs at least one strength")
-    rows = fidelity_vs_strength(chain.couplings, strengths, model.n_realizations, model.base_seed)
+    eps, mean, std_error = fidelity_vs_strength(chain.couplings, strengths, model.n_realizations, model.base_seed).T
     params = _disorder_params(model) | {"sweep": strengths}
     return render_table(
         _metadata("ensemble", chain.stage, params, _chain_results(chain)),
-        ["epsilon", "mean_fidelity", "std_error"],
-        rows,
+        {"epsilon": eps, "mean_fidelity": mean, "std_error": std_error},
     )
 
 
@@ -300,37 +320,30 @@ def localization_table(chain: DesignedChain) -> str:
         "t_pst": chain.t_pst,
         "participation_ratio_site1": participation_ratio(pmap.p[:, 0]),
     }
-    n = chain.n_sites
-    rows = [(k + 1, i + 1, pmap.p[k, i]) for k in range(n) for i in range(n)]
+    index = np.arange(1, chain.n_sites + 1)
     return render_table(
         _metadata("analyze-localization", chain.stage, {}, results),
-        ["level_index", "site_index", "probability"],
-        rows,
+        {
+            "level_index": np.repeat(index, index.size),
+            "site_index": np.tile(index, index.size),
+            "probability": pmap.p.ravel(),
+        },
     )
 
 
 def level_shifts_table(chain: DesignedChain, model: DisorderModel) -> str:
     stats = level_shift_stats(chain.couplings, model)
     results = {"normalization": stats.normalization, "t_pst": chain.t_pst}
-    rows = zip(
-        range(1, chain.n_sites + 1),
-        stats.omega_unperturbed,
-        stats.std,
-        stats.normalized_std,
-        stats.mean_shift,
-        stats.normalized_mean_shift,
-    )
     return render_table(
         _metadata("analyze-level-shifts", chain.stage, _disorder_params(model), results),
-        [
-            "level_index",
-            "energy",
-            "std_shift",
-            "std_shift_normalized",
-            "mean_shift",
-            "mean_shift_normalized",
-        ],
-        rows,
+        {
+            "level_index": np.arange(1, chain.n_sites + 1),
+            "energy": stats.omega_unperturbed,
+            "std_shift": stats.std,
+            "std_shift_normalized": stats.normalized_std,
+            "mean_shift": stats.mean_shift,
+            "mean_shift_normalized": stats.normalized_mean_shift,
+        },
     )
 
 
@@ -344,20 +357,16 @@ def window_table(chain: DesignedChain, threshold: float, points_per_period: int)
     first = detect_first_maximum(coarse)
     width = window_width(_window_trace(transfer, chain.t_pst, threshold), threshold)
     params = {"threshold": threshold, "points_per_period": points_per_period}
-    rows = [
-        (
-            chain.t_pst,
-            chain.gamma,
-            window_curvature(transfer),
-            width,
-            first.first_max_time,
-            first.first_max_fidelity,
-        )
-    ]
     return render_table(
         _metadata("analyze-window", chain.stage, params, _chain_results(chain)),
-        ["t_pst", "gamma", "curvature", "width", "first_max_time", "first_max_fidelity"],
-        rows,
+        {
+            "t_pst": [chain.t_pst],
+            "gamma": [chain.gamma],
+            "curvature": [window_curvature(transfer)],
+            "width": [width],
+            "first_max_time": [first.first_max_time],
+            "first_max_fidelity": [first.first_max_fidelity],
+        },
     )
 
 
@@ -428,12 +437,14 @@ def cmd_analyze(args) -> None:
 
 
 def cmd_reproduce(args) -> None:
-    os.makedirs(args.outdir, exist_ok=True)
+    # every input is checked and every family designed before anything is written
     model = DisorderModel(epsilon=0.01, n_realizations=args.nav, base_seed=args.seed)
+    chains = {name: design_standard(name, args.n) for name in STANDARD_FAMILIES}
+    os.makedirs(args.outdir, exist_ok=True)
     sweep = [0.01, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3]
     written = 0
     for name in STANDARD_FAMILIES:
-        chain = design_standard(name, args.n)
+        chain = chains.pop(name)  # released with its cached eigensystem once its tables are written
         products = {
             "spectrum": spectrum_table(chain.stage),
             "chain": chain_table(chain),

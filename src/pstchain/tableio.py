@@ -2,40 +2,31 @@
 
 Every table starts with a block of '# '-prefixed lines holding one JSON
 object (sorted keys, fixed indentation), followed by a regular CSV header and
-rows.  Floats are written with shortest-roundtrip repr, so writing the same
-data twice produces byte-identical files and any file can be regenerated from
-the parameters recorded in its own header.
+rows.  A table is a mapping of named columns; each value is written with the
+`repr` of its Python int, float or bool (shortest round trip for floats), so
+writing the same data twice produces byte-identical files and any file can be
+regenerated from the parameters recorded in its own header.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 
 import numpy as np
 
 
-def format_value(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
-def render_table(metadata: dict, columns: list[str], rows) -> str:
-    buf = io.StringIO()
-    header = json.dumps(_jsonable(metadata), indent=2, sort_keys=True)
-    for line in header.splitlines():
-        buf.write(f"# {line}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([format_value(v) for v in row])
-    return buf.getvalue()
+def render_table(metadata: dict, columns: dict) -> str:
+    """Render a header and equally long 1-D columns, keyed by column name, as text."""
+    arrays = [np.asarray(col) for col in columns.values()]
+    shapes = [a.shape for a in arrays]
+    if len(set(shapes)) != 1 or len(shapes[0]) != 1:
+        raise ValueError(f"table columns must be 1-D and of equal length, got shapes {shapes}")
+    header = json.dumps(metadata, indent=2, sort_keys=True, default=_json_default)
+    lines = [f"# {line}" for line in header.splitlines()]
+    lines.append(",".join(columns))
+    lines.extend(",".join(map(repr, row)) for row in zip(*(a.tolist() for a in arrays)))
+    return "\n".join(lines) + "\n"
 
 
 def read_table(path) -> tuple[dict, list[str], np.ndarray]:
@@ -58,17 +49,8 @@ def read_table(path) -> tuple[dict, list[str], np.ndarray]:
     return metadata, columns, data
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+def _json_default(obj):
+    """Encode the numpy values json cannot: arrays, integers and booleans."""
+    if isinstance(obj, (np.ndarray, np.integer, np.bool_)):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")

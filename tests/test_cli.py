@@ -341,13 +341,17 @@ class TestConfigurationErrors:
         err = capsys.readouterr().err
         assert err == "configuration error: periods must be positive and points-per-period >= 2\n"
 
-    @pytest.mark.parametrize("periods", ["1e306", "1e12"], ids=["overflow", "unallocatable"])
-    def test_oversized_grid_exits_2(self, capsys, periods):
+    @pytest.mark.parametrize("argv,periods", [
+        (["simulate"], "1e306"),
+        (["simulate"], "1e12"),
+        (["simulate"], "1e-9"),
+        (["ensemble", "--nav", "2"], "1e-9"),
+    ], ids=["overflow", "unallocatable", "simulate-one-point", "ensemble-one-point"])
+    def test_oversized_grid_exits_2(self, capsys, argv, periods):
         # 1e306 periods overflow the point count; 1e12 periods ask for a
-        # 14 PiB grid, which numpy refuses without touching memory
-        code = main([
-            "simulate", "--family", "center", "--alpha", "2", "--n", "9", "--periods", periods,
-        ])
+        # 14 PiB grid, which numpy refuses without touching memory; 1e-9
+        # periods round to a one-point grid, which every trace mode rejects
+        code = main(argv + ["--family", "center", "--alpha", "2", "--n", "9", "--periods", periods])
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and err.count("\n") == 1
@@ -410,6 +414,16 @@ class TestReproduceCommand:
         code = main(["reproduce", "--outdir", str(tmp_path), "--n", "5", "--nav", "2"])
         assert code == EXIT_NUMERICAL
         assert "NoWindowError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,exit_code", [
+        (["--nav", "0"], EXIT_CONFIG),
+        (["--n", "415", "--nav", "2"], EXIT_NUMERICAL),  # quadratic's weights underflow
+    ], ids=["no-realizations", "quadratic-underflow"])
+    def test_invalid_run_writes_nothing(self, tmp_path, capsys, argv, exit_code):
+        outdir = tmp_path / "products"
+        assert main(["reproduce", "--outdir", str(outdir), *argv]) == exit_code
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not outdir.exists()
 
     def test_files_match_standalone_subcommands(self, tmp_path):
         outdir = tmp_path / "products"

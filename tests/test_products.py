@@ -1,7 +1,9 @@
-"""The bytes of a small `pstchain reproduce` run and of single subcommands.
+"""The bytes of two `pstchain reproduce` runs and of single subcommands.
 
 The products are meant to be bitwise reproducible within a version, so any
-change to a product byte shows up here as a changed sha256.  The subcommand
+change to a product byte shows up here as a changed sha256.  The small run
+(N = 9) is fast; the second is the production size (N = 31, 100
+realizations, about a second).  The subcommand
 runs set the header fields that `reproduce` leaves at their defaults:
 amplitude, search tolerance, no_adjust, normalize, grids and disorder.  A
 change that alters bytes on purpose updates these pins and records in
@@ -63,6 +65,54 @@ PINNED_SHA256 = {
     "window_sqrt_center.csv": "22334640580523dd6ce260ec26dc6ee1ca1cfa93363a25070d47eb0475b584b6",
 }
 
+PINNED_SHA256_N31 = {
+    "chain_linear.csv": "ff9e91982968d6c5ca65188b4029783cd843db51a9cf52a00bf57558d6ab2fda",
+    "chain_quadratic.csv": "4d4cd6107bae75942e4dddc7aa3a07cc2fd657cce058e0de162c3dc7e3a86961",
+    "chain_quadratic_boundary.csv": "ba88a7dae645202679f279be43886c1b167b783a4563baed706888fb5c25647a",
+    "chain_sqrt_boundary.csv": "1906348f8fa57aaf1bd17aed1eb15a0e5dab09a6de497339c935ef7ee0296f17",
+    "chain_sqrt_center.csv": "a0f30590099bb8c8cecb35502ee92aeff9c069ec880eb5f49b856941901a4f8e",
+    "echoes_linear.csv": "a9e94febc38e418844ce48ae003b0b7d3658a44274072025aa7f429a5b2df39f",
+    "echoes_quadratic.csv": "338b9134986d4288e9d9f184dc0f9ba1d7853ba7cf5e89d80d8ec4e0d4330cb5",
+    "echoes_quadratic_boundary.csv": "f0bd134c38ed2290ac98a736933794f0df6617f266b8a43cde3d0616d791d883",
+    "echoes_sqrt_boundary.csv": "374a3ed37bcfb819a0cf8dc284d44ac5004d577c8b286d0fcd1172eac58b583f",
+    "echoes_sqrt_center.csv": "b5c92bb1d3b9d2c7829a271c582bcf16f16a4eecba689ce4ba2181d95dad179c",
+    "ensemble_trace_linear.csv": "885277957fae134e83b72e3c253f69f7af37c5bdc5b1bec6e226e95696a92dcf",
+    "ensemble_trace_quadratic.csv": "48e3fab7a3b6699719cd7f42d511204810201c1e3f8b97c1405aa622b6e92fff",
+    "ensemble_trace_quadratic_boundary.csv": "890ce82e6fb52b3ce4d4b4afa549ba81c5bc16fcb8587dce55139ee34b27b655",
+    "ensemble_trace_sqrt_boundary.csv": "ab4bac185414a0c53fd682ac7fbb1aa74de70ff4f68336c47c0416177a80b474",
+    "ensemble_trace_sqrt_center.csv": "db743e48726f6646799f8d057f852c9eaab0c71274d330e467805f8a9b570447",
+    "level_shifts_linear.csv": "e1dd7cd9cd68eee29434e5aec1e85b3379a5fecbd186e626950643bb0e444b55",
+    "level_shifts_quadratic.csv": "9bd6401e6aaacd2b11c648ec7a1f2bdbd36aa76a1f3e67d52d6c9d7c471c8816",
+    "level_shifts_quadratic_boundary.csv": "bb82fa2b45db4fd0b3309a120e861e52a82c1bb7d797bd44383aa1a3ef7a7480",
+    "level_shifts_sqrt_boundary.csv": "1420164c370aefa1997e8c62e2233556c4c8a310f18a87fd6409fd984ec01889",
+    "level_shifts_sqrt_center.csv": "3fbb33a870a34435d6d56c7e1d93426619fc909bb2de9f62cb249b891b5c2904",
+    "localization_linear.csv": "5af5027e819a5e41b9badb48ffc0859f7ebc59ce6cbe02682a7c7f7e6b81a964",
+    "localization_quadratic.csv": "df1a116f19e390b91f34e328a3ab0b5848064b172de62fd344e07e525f5927b1",
+    "localization_quadratic_boundary.csv": "4f95aab0a687d6bf2ae0a46a7490125688e46f9319dd75a024d5119cb4009a2c",
+    "localization_sqrt_boundary.csv": "0259d2d5a939054238dddf36c4f46412ecc58cac07af3e94c9ab1e46d5e89e2a",
+    "localization_sqrt_center.csv": "9b5f9838f07ddf398ac530871d9396f8678146ef0e37419a3dae3a3ee0b73325",
+    "spectrum_linear.csv": "ae738c33ec1e8b7627256faa14ca884e901781174f56e258ff8d80fed5868d21",
+    "spectrum_quadratic.csv": "ec46e8aff0208fb6edd02298781201b9c06be201bbee19a880abe7e33c56cb85",
+    "spectrum_quadratic_boundary.csv": "d627a604eb65f996aef4359b4ed9456b9c254c953013742e25f9262a32956bed",
+    "spectrum_sqrt_boundary.csv": "687025d28dec57827dcfc162e96ecd688ff0ffed812c290206a73a11bb9e6d8f",
+    "spectrum_sqrt_center.csv": "468c4409a0ed2e08aac79541d45ebcd496dff7ada6b40954a60c4b00331f50d3",
+    "strength_sweep_linear.csv": "fbfaef6e4213046c893607250e110a6ef21927c2f69d7e80c354ad01b2a6339f",
+    "strength_sweep_quadratic.csv": "f81f5c957f0e308f1d1ebc611dc1bc95ebf54e938e41d74a8d307142eda1a869",
+    "strength_sweep_quadratic_boundary.csv": "98dc2d48b5ecf899d1713bd91749f885efe0359331cc17c2f05524018f993278",
+    "strength_sweep_sqrt_boundary.csv": "1f92f2eeb27a505d381a4f2d2a957a451faf3feac7caff29616564d16273f8ea",
+    "strength_sweep_sqrt_center.csv": "40ab790d393a98d238f718674194e5dc4b96ebc57240aff050e324ac67eab7b3",
+    "trace_linear.csv": "242ebcb490b459b3076c01120405a3144a9e409103d49cb956e87cef2dbf2d23",
+    "trace_quadratic.csv": "6f9c9d22136f2cf7f71de9bcfaacdb50d8027ae91a3f4514f276f58b60f0039f",
+    "trace_quadratic_boundary.csv": "2275db789927939c0d04530c8a29944b31efbb3a5fa45e6cb131d5a3d4cf172a",
+    "trace_sqrt_boundary.csv": "6bff95037fb00b667f113097fc3d702b028de2b1153eaef3de71c62ce7287ed0",
+    "trace_sqrt_center.csv": "ab59e4ed2b3207cb781fa1533a3c90a0a13c94ea2c2fc9f619347c03648803f8",
+    "window_linear.csv": "299b1d1d699f13c7b9ca62354aa1820c7e2d9f1c71eedc0ed4ceabac00360c5c",
+    "window_quadratic.csv": "2f55ebaec5d7a494c1f7d0911702721bf3a8f130d0be61f0b41965f7acdd9a7a",
+    "window_quadratic_boundary.csv": "a963338ff54dc9d2ed57758c1640e3d90b4c3be39288f1eceeb34ae85965932f",
+    "window_sqrt_boundary.csv": "b44c80aede2011d710a9f9cc59206eee03f6770034607246afd8102c10607a8c",
+    "window_sqrt_center.csv": "a50a5161f2bf82c024bacd313d59acdf6c30748c819be3db55fcccda523a4ed2",
+}
+
 SUBCOMMAND_SHA256 = {
     "spectrum --family center --alpha 0.5 --n 15":
         "6136e0be83fd1e5a2da1d19330e4487948ee98d0e0bcf069089c06e965f907c6",
@@ -89,16 +139,24 @@ SUBCOMMAND_SHA256 = {
 }
 
 
-def test_reproduce_bytes_match_pins(tmp_path):
-    code = main(["reproduce", "--outdir", str(tmp_path), "--n", "9", "--nav", "5", "--seed", "3"])
+def _check_reproduce(tmp_path, argv, pins):
+    code = main(["reproduce", "--outdir", str(tmp_path), *argv])
     assert code == EXIT_OK
     digests = {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
         for path in tmp_path.iterdir()
     }
-    changed = sorted(name for name in PINNED_SHA256 if digests.get(name) != PINNED_SHA256[name])
-    assert sorted(digests) == sorted(PINNED_SHA256)
+    changed = sorted(name for name in pins if digests.get(name) != pins[name])
+    assert sorted(digests) == sorted(pins)
     assert changed == []
+
+
+def test_reproduce_bytes_match_pins(tmp_path):
+    _check_reproduce(tmp_path, ["--n", "9", "--nav", "5", "--seed", "3"], PINNED_SHA256)
+
+
+def test_production_size_reproduce_bytes_match_pins(tmp_path):
+    _check_reproduce(tmp_path, ["--n", "31", "--nav", "100", "--seed", "7"], PINNED_SHA256_N31)
 
 
 @pytest.mark.parametrize("command", SUBCOMMAND_SHA256)
