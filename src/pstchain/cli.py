@@ -11,8 +11,8 @@ its nine tables with the same functions.
 Exit codes: 0 success, 2 configuration error (including an output path that
 cannot be written and a grid or echo count too large to allocate), 3 numerical
 failure (incommensurate spectrum, unstable reconstruction or underflowing
-spectral weights, end-to-end products failing their checks, no read-out
-window or no echo).
+spectral weights, an eigenvalue solve that does not converge, end-to-end
+products failing their checks, no read-out window or no echo).
 """
 
 from __future__ import annotations

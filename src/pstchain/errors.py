@@ -36,5 +36,6 @@ class NoEchoError(NumericalError):
 class ProductIdentityError(NumericalError):
     """End-to-end products from the eigenvalues alone broke down.
 
-    Computed levels coincide, or the products fail their completeness checks.
+    Computed levels coincide or are too close to resolve their products, or
+    the products fail their completeness checks.
     """

@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg import LinAlgError, eigvalsh_tridiagonal
 from scipy.special import logsumexp
 
-from .errors import ReconstructionUnstableError
+from .errors import NumericalError, ReconstructionUnstableError
 from .spectra import Spectrum, freeze
 
 #: Lanczos diagonal entries must stay below this fraction of omega_max.
@@ -50,8 +50,14 @@ class CouplingSet:
         return float(self.couplings.max())
 
     def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues of the chain's zero-field tridiagonal matrix."""
-        return eigvalsh_tridiagonal(np.zeros(self.n_sites), self.couplings)
+        """Ascending eigenvalues of the chain's zero-field tridiagonal matrix.
+
+        NumericalError if the solver does not converge.
+        """
+        try:
+            return eigvalsh_tridiagonal(np.zeros(self.n_sites), self.couplings)
+        except LinAlgError as exc:
+            raise NumericalError(f"eigenvalues of the {self.n_sites}-site chain: {exc}") from None
 
     def scaled(self, factor: float) -> "CouplingSet":
         if not factor > 0:

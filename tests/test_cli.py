@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
 
 from pstchain.cli import (
     EXIT_CONFIG,
@@ -11,6 +12,7 @@ from pstchain.cli import (
     simulate_table,
     spectrum_table,
 )
+from pstchain import inverse_eigen
 from pstchain.errors import NoWindowError
 from pstchain.inverse_eigen import CouplingSet
 from pstchain.pipeline import STANDARD_FAMILIES, design_chain, spectrum_stage
@@ -147,6 +149,19 @@ class TestNumericalBreakdownExits3:
         assert main(argv) == EXIT_NUMERICAL
         err = capfd.readouterr().err
         assert err == "error (ProductIdentityError): computed levels of the 11-site chain coincide\n"
+
+    def test_eigensolver_failure(self, monkeypatch, capfd):
+        def no_convergence(d, e):
+            raise LinAlgError("stevd (eigh_tridiagonal) did not converge (LAPACK info=1)")
+
+        monkeypatch.setattr(inverse_eigen, "eigvalsh_tridiagonal", no_convergence)
+        argv = ["ensemble", "--family", "center", "--alpha", "2", "--n", "11", "--nav", "2"]
+        assert main(argv) == EXIT_NUMERICAL
+        err = capfd.readouterr().err
+        assert err == (
+            "error (NumericalError): eigenvalues of the 11-site chain: "
+            "stevd (eigh_tridiagonal) did not converge (LAPACK info=1)\n"
+        )
 
 
 class TestHeaderFromDesign:

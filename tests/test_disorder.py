@@ -116,6 +116,27 @@ class TestRunEnsemble:
         assert np.all(res.mean_fidelity >= 0.5 - 3.0 * res.std_error)
         assert np.all(res.mean_fidelity <= 1.0 + 3.0 * res.std_error)
 
+    def test_even_chain_against_direct_loop(self):
+        # even N takes the sine branch of the phase sum: 15 pairs +-sigma_k
+        # with opposite products, against the full complex sum over 30 levels
+        base = CouplingSet(np.ones(29))
+        m = model(eps=0.1, nav=6)
+        times = np.linspace(0.0, 60.0, 37)
+        res = run_ensemble(base, m, times)
+        samples = []
+        for r in range(6):
+            eig = diagonalize(perturb_couplings(base, m, r))
+            transfer = (eig.eigenvalues, eig.end_to_end_products)
+            amp = np.array([abs(transfer_amplitude(transfer, t)) for t in times])
+            trace = fidelity_trace(end_to_end(perturb_couplings(base, m, r)), 0.0, 60.0, 37)
+            np.testing.assert_allclose(trace.amplitude_abs, amp, rtol=0, atol=1e-14)
+            samples.append(averaged_fidelity(amp))
+        samples = np.array(samples)
+        np.testing.assert_allclose(res.mean_fidelity, samples.mean(axis=0), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(
+            res.std_error, samples.std(axis=0, ddof=1) / np.sqrt(6), rtol=0, atol=1e-14
+        )
+
     def test_realizations_solve_no_eigenvectors(self, chains31, monkeypatch):
         import pstchain.disorder as disorder
         import pstchain.dynamics as dynamics

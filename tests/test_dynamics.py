@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
+from scipy.special import logsumexp
 
 from pstchain.disorder import DisorderModel, perturb_couplings
 from pstchain.dynamics import (
@@ -123,7 +124,9 @@ def _perturbed(couplings, eps, seed):
 def _assert_matches_eigenvectors(couplings):
     levels, products = end_to_end(couplings)
     eig = diagonalize(couplings)
-    np.testing.assert_array_equal(levels, couplings.eigenvalues())
+    solved = couplings.eigenvalues()
+    np.testing.assert_array_equal(levels, 0.5 * (solved - solved[::-1]))
+    np.testing.assert_array_equal(products[::-1], (-1) ** (levels.size - 1) * products)
     np.testing.assert_allclose(products, eig.end_to_end_products, rtol=0, atol=1e-12)
     h = np.diag(couplings.couplings, 1)
     values, vectors = np.linalg.eigh(h + h.T)
@@ -170,6 +173,27 @@ class TestEndToEnd:
         with pytest.raises(ProductIdentityError, match="coincide"):
             end_to_end(CouplingSet(np.ones(n_sites - 1)))
 
+    def test_unresolvable_levels_raise(self):
+        # two dimers joined by 1e-13: the levels +-1 +- 5e-14 pass both
+        # completeness checks with products off by 1e-3, so the error
+        # estimate (about 2e-3) must stop them
+        with pytest.raises(ProductIdentityError, match="too close to resolve"):
+            end_to_end(CouplingSet([1.0, 1e-13, 1.0]))
+
+    def test_levels_crowding_zero_energy_are_not_refused(self):
+        # 90% disorder on 1001 sites puts +-sigma_1 within 3e-14 of level 0.
+        # Counting the gaps to the partner and to level 0 at u omega_max put
+        # this chain at 9e-6 and refused it, but its products are accurate:
+        # P_0 is checked against the closed-form zero mode, whose odd-site
+        # amplitudes obey a_{2i+1} = -(J_{2i-1} / J_{2i}) a_{2i-1}
+        chain = _perturbed(_designed("linear", 1001), 0.9, 198)
+        levels, products = end_to_end(chain)
+        assert 0 < levels[501] < 1e-13
+        j = chain.couplings
+        log_a = np.concatenate([[0.0], np.cumsum(np.log(j[0::2]) - np.log(j[1::2]))])
+        p0 = np.exp(log_a[-1] - logsumexp(2.0 * log_a))  # a_1 a_N, sign (-1)^500
+        assert abs(products[500] - p0) <= 1e-8
+
     @pytest.mark.parametrize("shrink", [1e-6, 1e-3])
     def test_compressed_levels_fail_the_checks(self, monkeypatch, chains31, shrink):
         # levels scaled by s < 1 scale every product by s^-(N-1), so their
@@ -178,6 +202,36 @@ class TestEndToEnd:
         monkeypatch.setattr(CouplingSet, "eigenvalues", lambda self: solve(self) * (1 - shrink))
         with pytest.raises(ProductIdentityError, match="completeness"):
             end_to_end(chains31["quadratic"].couplings)
+
+
+def _reference_40_digits(couplings):
+    """Ascending levels and a_{k,1} a_{k,N} from mpmath.eigsy at 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    n = couplings.n_sites
+    with mpmath.workdps(40):
+        h = mpmath.zeros(n, n)
+        for i, j in enumerate(couplings.couplings):
+            h[i, i + 1] = h[i + 1, i] = mpmath.mpf(float(j))
+        values, vectors = mpmath.eigsy(h)
+        order = sorted(range(n), key=lambda k: values[k])
+        levels = np.array([float(values[k]) for k in order])
+        products = np.array([float(vectors[0, k] * vectors[n - 1, k]) for k in order])
+    return levels, products
+
+
+_ACCURACY_CASES = [(name, 31, 0.0) for name in sorted(STANDARD_FAMILIES)] + [
+    ("uniform", 30, 0.1), ("quadratic", 31, 0.1),
+]
+
+
+@pytest.mark.parametrize("name,n_sites,eps", _ACCURACY_CASES)
+def test_accuracy_against_40_digits(name, n_sites, eps):
+    couplings = CouplingSet(np.ones(n_sites - 1)) if name == "uniform" else _designed(name, n_sites)
+    couplings = _perturbed(couplings, eps, SEED)
+    ref_levels, ref_products = _reference_40_digits(couplings)
+    levels, products = end_to_end(couplings)
+    assert np.max(np.abs(levels - ref_levels)) <= 2e-15 * np.abs(ref_levels).max()
+    assert np.max(np.abs(products - ref_products)) <= 5e-15
 
 
 class TestTransferAmplitude:
@@ -265,16 +319,23 @@ class TestFidelityTrace:
 
     @pytest.mark.parametrize("n_points", [2 * PHASE_BLOCK + 1, 3 * PHASE_BLOCK + 517])
     def test_blocked_phase_sum_matches_one_shot(self, chains31, n_points):
-        # three and four blocks; 2 * PHASE_BLOCK + 1 would leave a one-row
-        # block under fixed-size blocking, whose sum differs in the last bits
+        # three and four blocks, the last of 2 * PHASE_BLOCK + 1 points a single row
         chain = chains31["sqrt_center"]
         transfer = end_to_end(chain.couplings)
         tr = fidelity_trace(transfer, 0.0, 2.5 * chain.t_pst, n_points)
         levels, products = transfer
-        phases = np.exp(-1j * np.outer(tr.times, levels))
-        amp = np.minimum(np.abs(phases @ products), 1.0)
+        # 31 sites: f_N = P_0 + 2 sum_k P_k cos(sigma_k t) over the 15 positive levels
+        amp = np.einsum("tk,k->t", np.cos(np.outer(tr.times, levels[16:])), 2.0 * products[16:]) + products[15]
+        amp = np.minimum(np.abs(amp), 1.0)
         np.testing.assert_array_equal(tr.amplitude_abs, amp)
         np.testing.assert_array_equal(tr.fidelity, averaged_fidelity(amp))
+
+    def test_rejects_a_pair_that_is_not_mirrored(self, chains31):
+        levels, products = end_to_end(chains31["linear"].couplings)
+        skew = np.r_[1.0 + 1e-15, np.ones(30)]
+        for pair in [(levels * skew, products), (levels, products * skew)]:
+            with pytest.raises(ValueError, match="mirrored"):
+                fidelity_trace(pair, 0.0, 1.0, 10)
 
     def test_grid_validation(self, chains31):
         transfer = end_to_end(chains31["linear"].couplings)

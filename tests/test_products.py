@@ -23,16 +23,16 @@ PINNED_SHA256 = {
     "chain_quadratic_boundary.csv": "bb6462271d6cde18ac57733890753589b0bf91238d4fd03e9ff25a8e5b5c3518",
     "chain_sqrt_boundary.csv": "ec398c8f533c5d6baae4e70883347d9d0c709c840ef02272b3003b44a227c452",
     "chain_sqrt_center.csv": "b3e0f977e66e1aa01072988c3a24480a9898a400d7277a60d2b78d85d4dd4c9d",
-    "echoes_linear.csv": "520e54cc97ecaa5d04d442805cd6e580b1614a50e2165c9923b8d06f2793bbc6",
-    "echoes_quadratic.csv": "999ebddf1cfc6e42de3ee5c2502a2b96c3799704a90d35a325da92b076e5cf4d",
-    "echoes_quadratic_boundary.csv": "ccc9b727dcfa1abe600b3cfec2510b9b0ecaaa7ad20c0076beec3da7309d6088",
-    "echoes_sqrt_boundary.csv": "da2f959503e7d4fb4daf7b13db6a1c20319c502904e9df47025af083fcbceff2",
-    "echoes_sqrt_center.csv": "e8307a2fec17bc11c63f76d0ca86a9626b8ca23e55aaa1e9ab45612d5a7efa90",
-    "ensemble_trace_linear.csv": "53cc2e1f7e061f271a61dfbc9af21f42a35910629660ce4a28d6dc073f5b5e80",
-    "ensemble_trace_quadratic.csv": "7be00cb75b6caa2161d1f5802806a81b69e1099d2868d51dd35b89dad6275644",
-    "ensemble_trace_quadratic_boundary.csv": "4f673774cd3d3d3fb6262c9fbfe3026798b7cadbeacf4c38bdceb968afc69560",
-    "ensemble_trace_sqrt_boundary.csv": "c11d28389fd0b359b1b7a5ec741c5f048e6ce226914561b9f1c26ac8eacc9a02",
-    "ensemble_trace_sqrt_center.csv": "9b4f12353944314950573ecf73271a1fa2e4c6c7d811b6b4902b750c5d4bb635",
+    "echoes_linear.csv": "acc3e37eb23a9fd442ffc5057bafb0299da6681bd4885fd0e62cf64aa04ed0ed",
+    "echoes_quadratic.csv": "23a1e99559c157b9374aaacfac424d0613bf9a565390853b64208dde0f35f8b1",
+    "echoes_quadratic_boundary.csv": "34cb8b038e0911f66dfe77cbd916adb074f7e192575ede3c1dd544751fa7744f",
+    "echoes_sqrt_boundary.csv": "9a5a0cdb87898e5c138058593345bc14a134921b22cbb86597c45a6070f3dd1b",
+    "echoes_sqrt_center.csv": "a97d74f2fe797a35ce2d5806d94b5bad67fda7caab34cee578828e7d0891b8b3",
+    "ensemble_trace_linear.csv": "9c34266a5015df988d7ca2fa72b363f0ed9be5453e251b744ea980a4cea6f5a2",
+    "ensemble_trace_quadratic.csv": "be83b59481f7efbab20fc2f7134bc10513ecc0f286a7f0b85e05232936384c21",
+    "ensemble_trace_quadratic_boundary.csv": "587296207cc77305f796e5277b62d11bc9bbfb79e2477a605dccc5f81edb20a0",
+    "ensemble_trace_sqrt_boundary.csv": "f1c5b5323103e8d2747975ec33d89d32176c8efb64dadb3d1bce89313e5d6c5c",
+    "ensemble_trace_sqrt_center.csv": "433ec88853cef67c88e0ab7abef480ac5002416b6298dcb2473690dea84657af",
     "level_shifts_linear.csv": "699b929d4b848f553ad132871343d6bd169d149c9d4cace89a5b745ae1cf1dd5",
     "level_shifts_quadratic.csv": "e963e95f15378162abdcc8a24c4f33b55561a993ff73a8fa71a7a4df6fce3120",
     "level_shifts_quadratic_boundary.csv": "131f553a44947ccdf6082d1922a62f6ed74933acf3e21b50fec5e37b2e4d9ed6",
@@ -48,21 +48,21 @@ PINNED_SHA256 = {
     "spectrum_quadratic_boundary.csv": "e4956393819c30662e0c97bb340092869e800cbacb3c09556c0eeb9137cd6b1d",
     "spectrum_sqrt_boundary.csv": "1b67ef10e6b1d3e7a8d812e1caccb74a046cb4a36974686a5f06e5e586c7693c",
     "spectrum_sqrt_center.csv": "e954b8a66703495b75a5abc65019f51b9d634df05292fb12436ef8fd8eb46e16",
-    "strength_sweep_linear.csv": "25d70352b2a7882cbc559828ff6cb320db7bdfa1a36028a16e056bc320007fb7",
-    "strength_sweep_quadratic.csv": "3c5d29b3f68b29679e8680268e469d74be3de207d8ccc10a532695cfc926ee43",
-    "strength_sweep_quadratic_boundary.csv": "6d21b21e376d33e188a5958a7c490902e13a6daab8a6892d6164ede7f5e4abda",
-    "strength_sweep_sqrt_boundary.csv": "c6687b7d2ed4b5aad183ec413c3638ba9f2aedcda48f0163f16a18a6e2d982c3",
-    "strength_sweep_sqrt_center.csv": "a0859f2a9ca5ef7e08218e1acfdf97f98f226fa504c1aa460872574faca24210",
-    "trace_linear.csv": "cc6ba9ffa70df64285e04c37c9662878cc307a18e38d6c18da5983dba637e492",
-    "trace_quadratic.csv": "21073e566bc5ae700c65c43fe1208a7356ede529d56d1a11ee17c10b225e2aff",
-    "trace_quadratic_boundary.csv": "0e5372695a915166af8d22f2858f8f9fef540088f12999e1331f6b23e9c66c9d",
-    "trace_sqrt_boundary.csv": "8d5f92e6c90bf88af08e552c4b7ca503fdd508209833d9f1117394006cfb8dee",
-    "trace_sqrt_center.csv": "823a3db21c211fb843e66bd095f52f8c402422a41408104bb257cdb15c084d8c",
-    "window_linear.csv": "e6f2cbd04858ce967abb65354992a403c092e3b71eb8f93d70e7d808eaa2d662",
-    "window_quadratic.csv": "43f1026495fe05352253f029cf8a393b4517436f91a25b4893f43056cae1ac8a",
-    "window_quadratic_boundary.csv": "b36c707ef786422d886c8659911d78809427922224f6d5bc124ec1d28351d479",
-    "window_sqrt_boundary.csv": "20e2e8d29b98c53decb7ceadf94e18e59980b16a7acd98e88fdb9cfe7609c2c3",
-    "window_sqrt_center.csv": "22334640580523dd6ce260ec26dc6ee1ca1cfa93363a25070d47eb0475b584b6",
+    "strength_sweep_linear.csv": "212399f5bc7351f9dcf89da454252b94aea79ba6b5ddfa2028311cd60edde4d5",
+    "strength_sweep_quadratic.csv": "ca2eda28414da144a4754a94eabb7ed61d747ac7c3e44256b46269a84a0248a9",
+    "strength_sweep_quadratic_boundary.csv": "c7f53a42fe69901c0f5f9d721c48c2bd8861d69bffe4496814e7c6d5dade04db",
+    "strength_sweep_sqrt_boundary.csv": "8cc1ecc521c97155f4e88d07fb0282e8e88644e96cb470656246d36c264ff2c2",
+    "strength_sweep_sqrt_center.csv": "0d4a6070b28854e34572d93be435c46891c2e8dd77c7863d61fe54208032cc0c",
+    "trace_linear.csv": "aa3350961b44b7b706e2786f838f4f09d97c6c7fbdbcdd6ca2f006a17ff47373",
+    "trace_quadratic.csv": "90f8fe05401272a47ba81226378acbbb6788f1f600e090604202f39e844522be",
+    "trace_quadratic_boundary.csv": "7fe10adba7c39d6dce0ce6d511db478939a254d7f221be85a0e93181f06e2293",
+    "trace_sqrt_boundary.csv": "b97200ae7b108781161f140a73020b9fed59717ca40d06da720c7eb76bcf4f85",
+    "trace_sqrt_center.csv": "8c39d7c79c9e3d9ec3789e062c00981c4d0ebeba51d99df435ccb191e25c6f03",
+    "window_linear.csv": "fcfc2e8153311c5d927fa14808e7aac9e12c5dd76acdaa776229e02e0845c4be",
+    "window_quadratic.csv": "83196377f7810b376cc0c8572bd442da8b39609096dc090e0bddd2a112a2cb63",
+    "window_quadratic_boundary.csv": "23f84234896780526aa7f03f9dac95fc1a3c00d4dd3ac88ab489e7e2545ee754",
+    "window_sqrt_boundary.csv": "70f93cb9075d6de8627ac0f8324347fe19004aa10ab398ccf3abdf37f81bac2d",
+    "window_sqrt_center.csv": "678a20bad1b62e9c1f5ac70bedc30d8bdab78472d0d9d9ba96e5fce65ac2465d",
 }
 
 PINNED_SHA256_N31 = {
@@ -71,16 +71,16 @@ PINNED_SHA256_N31 = {
     "chain_quadratic_boundary.csv": "ba88a7dae645202679f279be43886c1b167b783a4563baed706888fb5c25647a",
     "chain_sqrt_boundary.csv": "1906348f8fa57aaf1bd17aed1eb15a0e5dab09a6de497339c935ef7ee0296f17",
     "chain_sqrt_center.csv": "a0f30590099bb8c8cecb35502ee92aeff9c069ec880eb5f49b856941901a4f8e",
-    "echoes_linear.csv": "a9e94febc38e418844ce48ae003b0b7d3658a44274072025aa7f429a5b2df39f",
-    "echoes_quadratic.csv": "338b9134986d4288e9d9f184dc0f9ba1d7853ba7cf5e89d80d8ec4e0d4330cb5",
-    "echoes_quadratic_boundary.csv": "f0bd134c38ed2290ac98a736933794f0df6617f266b8a43cde3d0616d791d883",
-    "echoes_sqrt_boundary.csv": "374a3ed37bcfb819a0cf8dc284d44ac5004d577c8b286d0fcd1172eac58b583f",
-    "echoes_sqrt_center.csv": "b5c92bb1d3b9d2c7829a271c582bcf16f16a4eecba689ce4ba2181d95dad179c",
-    "ensemble_trace_linear.csv": "885277957fae134e83b72e3c253f69f7af37c5bdc5b1bec6e226e95696a92dcf",
-    "ensemble_trace_quadratic.csv": "48e3fab7a3b6699719cd7f42d511204810201c1e3f8b97c1405aa622b6e92fff",
-    "ensemble_trace_quadratic_boundary.csv": "890ce82e6fb52b3ce4d4b4afa549ba81c5bc16fcb8587dce55139ee34b27b655",
-    "ensemble_trace_sqrt_boundary.csv": "ab4bac185414a0c53fd682ac7fbb1aa74de70ff4f68336c47c0416177a80b474",
-    "ensemble_trace_sqrt_center.csv": "db743e48726f6646799f8d057f852c9eaab0c71274d330e467805f8a9b570447",
+    "echoes_linear.csv": "13c61a5e48fc793ce0075d1cf9404cccd517e54c3e8a2a9c3eb009bf56e7f78d",
+    "echoes_quadratic.csv": "e7f642060505c0763b15db6f1e7741b08db9e1bc2c3ab3598baac6ccec0e9929",
+    "echoes_quadratic_boundary.csv": "a9a162334ae2fa5be5da1e9adf58ccb8ff97ea72b1ef1279b1ab5b332e02dc7c",
+    "echoes_sqrt_boundary.csv": "971e04f24d0a4ded0c673f025164cc2b371605abc24c7849b6b189ffa0b2afba",
+    "echoes_sqrt_center.csv": "781ee7d648bf8f8860036d0572acfe600fd887603ab80f15dc125be24cfa2d12",
+    "ensemble_trace_linear.csv": "9c659364417a10e6051f4ac278df96aaee55d305ff34e1d083cf9915eadec721",
+    "ensemble_trace_quadratic.csv": "003194d281549690e70a6c704f4208b6290f66ddbf6bbfde29e8133cabb18652",
+    "ensemble_trace_quadratic_boundary.csv": "b046c6abd202467c2754a30e464d8937f2943161176b4c895f3ab8241605f715",
+    "ensemble_trace_sqrt_boundary.csv": "58c9793f8f6cb37453c83efe7f202e860816a1f20ad76db30a65579fb5f4c396",
+    "ensemble_trace_sqrt_center.csv": "5ad017a471ee76caf8af9c89e018dacf1aa57164f885a08196df802c45fe5f16",
     "level_shifts_linear.csv": "e1dd7cd9cd68eee29434e5aec1e85b3379a5fecbd186e626950643bb0e444b55",
     "level_shifts_quadratic.csv": "9bd6401e6aaacd2b11c648ec7a1f2bdbd36aa76a1f3e67d52d6c9d7c471c8816",
     "level_shifts_quadratic_boundary.csv": "bb82fa2b45db4fd0b3309a120e861e52a82c1bb7d797bd44383aa1a3ef7a7480",
@@ -96,21 +96,21 @@ PINNED_SHA256_N31 = {
     "spectrum_quadratic_boundary.csv": "d627a604eb65f996aef4359b4ed9456b9c254c953013742e25f9262a32956bed",
     "spectrum_sqrt_boundary.csv": "687025d28dec57827dcfc162e96ecd688ff0ffed812c290206a73a11bb9e6d8f",
     "spectrum_sqrt_center.csv": "468c4409a0ed2e08aac79541d45ebcd496dff7ada6b40954a60c4b00331f50d3",
-    "strength_sweep_linear.csv": "fbfaef6e4213046c893607250e110a6ef21927c2f69d7e80c354ad01b2a6339f",
-    "strength_sweep_quadratic.csv": "f81f5c957f0e308f1d1ebc611dc1bc95ebf54e938e41d74a8d307142eda1a869",
-    "strength_sweep_quadratic_boundary.csv": "98dc2d48b5ecf899d1713bd91749f885efe0359331cc17c2f05524018f993278",
-    "strength_sweep_sqrt_boundary.csv": "1f92f2eeb27a505d381a4f2d2a957a451faf3feac7caff29616564d16273f8ea",
-    "strength_sweep_sqrt_center.csv": "40ab790d393a98d238f718674194e5dc4b96ebc57240aff050e324ac67eab7b3",
-    "trace_linear.csv": "242ebcb490b459b3076c01120405a3144a9e409103d49cb956e87cef2dbf2d23",
-    "trace_quadratic.csv": "6f9c9d22136f2cf7f71de9bcfaacdb50d8027ae91a3f4514f276f58b60f0039f",
-    "trace_quadratic_boundary.csv": "2275db789927939c0d04530c8a29944b31efbb3a5fa45e6cb131d5a3d4cf172a",
-    "trace_sqrt_boundary.csv": "6bff95037fb00b667f113097fc3d702b028de2b1153eaef3de71c62ce7287ed0",
-    "trace_sqrt_center.csv": "ab59e4ed2b3207cb781fa1533a3c90a0a13c94ea2c2fc9f619347c03648803f8",
-    "window_linear.csv": "299b1d1d699f13c7b9ca62354aa1820c7e2d9f1c71eedc0ed4ceabac00360c5c",
-    "window_quadratic.csv": "2f55ebaec5d7a494c1f7d0911702721bf3a8f130d0be61f0b41965f7acdd9a7a",
-    "window_quadratic_boundary.csv": "a963338ff54dc9d2ed57758c1640e3d90b4c3be39288f1eceeb34ae85965932f",
-    "window_sqrt_boundary.csv": "b44c80aede2011d710a9f9cc59206eee03f6770034607246afd8102c10607a8c",
-    "window_sqrt_center.csv": "a50a5161f2bf82c024bacd313d59acdf6c30748c819be3db55fcccda523a4ed2",
+    "strength_sweep_linear.csv": "eeb7546159308e42b44d9d4368d2bf681f671bbecccd050ad1a9acfca4948211",
+    "strength_sweep_quadratic.csv": "8b267b0a3b3e96ecb7f997a829d408708618d575b80de91c3cd342b335fd43fd",
+    "strength_sweep_quadratic_boundary.csv": "50c076fa0d5018182f455ec0e41cc08ae24e549b9aa23224b2654a964070d4a7",
+    "strength_sweep_sqrt_boundary.csv": "14244c9cd801541ff9a19140a64cdd52efa30ace57570a732836f1815e7c99d2",
+    "strength_sweep_sqrt_center.csv": "6542811e6a077be62cd80cc19ae0ecc8e403bd1beef1f9e3436c8a00e8ebb9ef",
+    "trace_linear.csv": "0ee888f5b67f97873a270bb41b96b21cc51473f298a92d9c7f832182732b26f0",
+    "trace_quadratic.csv": "03e90dec4b7d855fe58c43232be68a9bfc99a258d1147def777e5611c43ef537",
+    "trace_quadratic_boundary.csv": "9074d87cce53ee34a3a36974eb6bec73e300480a33fc10ff1cfa61780c8ec9af",
+    "trace_sqrt_boundary.csv": "fba006c464566e39fb2915c17d42cbdb825b66008125aecf7c71548ae13fb61e",
+    "trace_sqrt_center.csv": "b78fc1dd3440c9b1014621524336dcac98b741b6c03a6eba022c0303842e2b91",
+    "window_linear.csv": "f7370f75b3bb4489568b8c689fd69715a502e1df120fe594901f55fada3771c8",
+    "window_quadratic.csv": "231c2ac99b9b2c1b0a7a5d203ba37b1669e76958ec817740feec669f69e98616",
+    "window_quadratic_boundary.csv": "872be450a1aa161b9e87b36095501511715455c2b0121765231b7db47cb2f8f5",
+    "window_sqrt_boundary.csv": "f767ac8e294b2a906e5b26a8a6649557d8429c39499d9d7a1be3e786cf91fabc",
+    "window_sqrt_center.csv": "e4cfd5cc6629ffdb0f9661c70a4c73fa4507f4d80551b9fb8d83003264ce3830",
 }
 
 SUBCOMMAND_SHA256 = {
@@ -123,19 +123,19 @@ SUBCOMMAND_SHA256 = {
     "chain --family boundary --alpha 0.5 --n 15 --no-normalize --base-search-tolerance 1e-3":
         "fb33fa7819ff3fc7f6ce3fd03d8614c10e63d2e4eb1fc6e8466d0b7996979d11",
     "simulate --family center --alpha 2 --n 11 --periods 1.5 --points-per-period 300":
-        "bb6bf80a25f631a42b9a0516af059423f59dd0f6a451ade4bfa8081e5a89e66c",
+        "2ee1f9d48200b3427fa5ca7876a197f2de21f2b6d982934b51737370d423f87a",
     "ensemble --family center --alpha 2 --n 11 --eps 0.02 --nav 10 --seed 3":
-        "95f03d3c6671ff7cd586960674ecd691ee7ebce8dd9727440ad4dcfc282dad13",
+        "5f4dc4292175902951daf128e27513b2bd2e50be52b353b983710faf3995b918",
     "ensemble --family center --alpha 2 --n 11 --eps 0.02 --nav 10 --seed 3 --echoes 4":
-        "2c80ba04e47642f0765293662b3ffd23145a108c11dae167da86234a35f5286f",
+        "d91c334cece144653feecadcc652af396a138449ae93125b8add5c755eb94fb8",
     "ensemble --family center --alpha 2 --n 11 --eps 0.02 --nav 10 --seed 3 --sweep 0.05,0.1":
-        "8ff21722988f21fcddee6911d1d6e455c721383ff30031edcb85ad91a9056607",
+        "fc4379587dfd6359668a0b0d3ef23a0186c12ab311520cd4cd176b6beea02629",
     "analyze --family center --alpha 2 --n 11 --localization":
         "bee407212b907d943eb64228b3e676771927facab57860431df42a6d85985583",
     "analyze --family center --alpha 2 --n 11 --level-shifts --eps 0.02 --nav 10 --seed 3":
         "3edfb2d2ab977c40c687b45c2b2de549bb778c49244523bfa3043a929025f0b7",
     "analyze --family center --alpha 2 --n 11 --window --points-per-period 300":
-        "119147a794c4ebcaf8a1b8a548472a1ad9a74c08fa4ec91606b16574c73b7241",
+        "10a121fe1a11f0893df278d14d77af05897df363dd643b0c82926486ce4c295e",
 }
 
 
