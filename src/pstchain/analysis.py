@@ -12,7 +12,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disorder import DisorderModel, realizations
-from .dynamics import EigenSystem, FidelityTrace
+from .dynamics import (
+    PHASE_BLOCK,
+    EigenSystem,
+    FidelityTrace,
+    _require_mirrored,
+    _transfer_abs,
+    averaged_fidelity,
+)
 from .errors import NoEchoError, NoWindowError
 from .inverse_eigen import CouplingSet
 from .spectra import freeze
@@ -21,6 +28,10 @@ from .spectra import freeze
 WINDOW_THRESHOLD = 0.99
 #: Detection floor for the first-maximum search, above the F = 1/2 baseline.
 FIRST_MAX_FLOOR = 0.55
+#: Step of the window-edge walk in units of pi / sigma_max.  At t_pst every
+#: phase aligns, so |f_N(t_pst +- d)| = sum_k |P_k| cos(omega_k d) decreases
+#: strictly on [0, pi / sigma_max]; wider windows are found by walking on.
+WINDOW_STEP = 1 / 8
 
 
 @dataclass(frozen=True)
@@ -137,42 +148,54 @@ def _pair_curvature(omega: np.ndarray, p: np.ndarray) -> float:
     return 2.0 * max(second - mean**2, 0.0)
 
 
-def window_width(trace: FidelityTrace, threshold: float = WINDOW_THRESHOLD) -> float:
-    """Duration of the contiguous interval around the peak with F >= threshold.
+def window_width(
+    transfer: tuple[np.ndarray, np.ndarray], t_pst: float, threshold: float = WINDOW_THRESHOLD
+) -> float:
+    """Duration of the contiguous interval around t_pst with F >= threshold.
 
-    Crossing times are linearly interpolated between grid points; if the
-    region extends to an end of the trace it is truncated there.
+    Takes (levels, products), exactly mirrored as `dynamics.end_to_end`
+    returns them.  F >= threshold exactly where |f_N| >= a_min =
+    sqrt(6 threshold - 2) - 1.  Walking out from t_pst in steps
+    h = WINDOW_STEP pi / sigma_max, the first sample below a_min and the one
+    before it bracket an edge.  The bracket is split into 64 parts at a time
+    until it is no wider than 4 u t_pst, about the spacing of the doubles
+    near t_pst, and the edge is interpolated linearly within it.  An edge
+    that reaches t = 0 or 2 t_pst is truncated there.  A dip below a_min
+    that starts and ends within one step h is not seen.
     """
     if not 0.5 < threshold < 1.0:
         raise ValueError("threshold must lie in (0.5, 1)")
-    fid = trace.fidelity
-    times = trace.times
-    peak = int(np.argmax(fid))
-    if fid[peak] < threshold:
-        raise NoWindowError(
-            f"peak fidelity {fid[peak]:.6f} never reaches threshold {threshold}"
-        )
-    left = peak
-    while left > 0 and fid[left - 1] >= threshold:
-        left -= 1
-    if left == 0:
-        t_left = times[0]
-    else:
-        t_left = _cross_time(times[left - 1], times[left], fid[left - 1], fid[left], threshold)
-    right = peak
-    while right < fid.size - 1 and fid[right + 1] >= threshold:
-        right += 1
-    if right == fid.size - 1:
-        t_right = times[-1]
-    else:
-        t_right = _cross_time(
-            times[right], times[right + 1], fid[right], fid[right + 1], threshold
-        )
-    return float(t_right - t_left)
+    if not t_pst > 0:
+        raise ValueError("t_pst must be positive")
+    _require_mirrored(transfer)
+    a_min = np.sqrt(6.0 * threshold - 2.0) - 1.0
+    peak = _transfer_abs(transfer, np.array([t_pst]))[0]
+    if peak < a_min:
+        raise NoWindowError(f"F({t_pst:g}) = {averaged_fidelity(peak):.6f} is below {threshold}")
+    step = WINDOW_STEP * np.pi / transfer[0][-1]
+    return _window_edge(transfer, t_pst, a_min, step) - _window_edge(transfer, t_pst, a_min, -step)
 
 
-def _cross_time(t0: float, t1: float, f0: float, f1: float, threshold: float) -> float:
-    return t0 + (t1 - t0) * (threshold - f0) / (f1 - f0)
+def _window_edge(transfer, t_pst: float, a_min: float, step: float) -> float:
+    """Offset from t_pst of the edge met walking by `step`, within [-t_pst, t_pst]."""
+    # 4 u t_pst is no less than the spacing of the doubles up to 2 t_pst, so a
+    # wider bracket holds a double between its ends and every split narrows it
+    tol = 2.0 * np.finfo(float).eps * t_pst
+    n_steps = int(np.ceil(t_pst / abs(step)))
+    for first in range(0, n_steps, PHASE_BLOCK):
+        # blocks overlap by one sample, so a block starts at t_pst or at a sample
+        # found above a_min, and its first sample below a_min has one before it
+        times = t_pst + step * np.arange(first, min(first + PHASE_BLOCK, n_steps) + 1)
+        np.clip(times, 0.0, 2.0 * t_pst, out=times)
+        excess = _transfer_abs(transfer, times) - a_min
+        while np.any(excess < 0):
+            i = np.argmax(excess < 0)  # the first sample below a_min
+            t0, t1, e0, e1 = times[i - 1], times[i], excess[i - 1], excess[i]
+            if abs(t1 - t0) <= tol:
+                return float((t0 - t_pst) + (t1 - t0) * e0 / (e0 - e1))
+            times = np.linspace(t0, t1, 65)  # keeps both ends exactly
+            excess = _transfer_abs(transfer, times) - a_min
+    return -t_pst if step < 0 else t_pst
 
 
 def detect_first_maximum(

@@ -39,7 +39,7 @@ from .disorder import (
     fidelity_vs_strength,
     run_ensemble,
 )
-from .dynamics import FidelityTrace, fidelity_trace
+from .dynamics import fidelity_trace
 from .errors import NumericalError
 from .pipeline import STANDARD_FAMILIES, DesignedChain, SpectrumStage, design_chain, design_standard, spectrum_stage
 from .spectra import BASE_SEARCH_TOLERANCE, FAMILIES, MAX_SCAN_CANDIDATES, SpectrumSpec
@@ -134,9 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--points-per-period",
         type=int,
         default=2000,
-        help="points per t_pst of the coarse first-maximum grid on [0, 1.05 t_pst] (window mode, "
-        "default 2000); the width's fine trace is fixed at 28001 points on [0.93, 1.07] t_pst, "
-        "extended in blocks of 14000 points",
+        help="points per t_pst of the first-maximum grid on [0, 1.05 t_pst] (window mode, "
+        "default 2000); the width is solved on the spectrum, not on a grid",
     )
     _add_output_arg(ana)
     ana.set_defaults(handler=cmd_analyze)
@@ -352,10 +351,10 @@ def window_table(chain: DesignedChain, threshold: float, points_per_period: int)
     # past the float range
     _grid_points(1.05, points_per_period)
     transfer = chain.end_to_end
-    # coarse trace for the first maximum, fine trace for the width
+    # the first maximum is read off a coarse trace; the width is solved on the spectrum
     coarse = fidelity_trace(transfer, 0.0, 1.05 * chain.t_pst, int(1.05 * points_per_period) + 1)
     first = detect_first_maximum(coarse)
-    width = window_width(_window_trace(transfer, chain.t_pst, threshold), threshold)
+    width = window_width(transfer, chain.t_pst, threshold)
     params = {"threshold": threshold, "points_per_period": points_per_period}
     return render_table(
         _metadata("analyze-window", chain.stage, params, _chain_results(chain)),
@@ -368,34 +367,6 @@ def window_table(chain: DesignedChain, threshold: float, points_per_period: int)
             "first_max_fidelity": [first.first_max_fidelity],
         },
     )
-
-
-def _window_trace(transfer: tuple[np.ndarray, np.ndarray], t_pst: float, threshold: float) -> FidelityTrace:
-    """Fine trace around t_pst that holds the whole region with F >= threshold.
-
-    It starts on [0.93, 1.07] t_pst, which holds the widest 0.99-window among
-    the standard families.  While the region reaches an end, another 0.07 t_pst
-    at the same spacing is added on that side, up to t = 0 and 2 t_pst.
-    """
-    block = 0.07 * t_pst
-    step = block / 14000
-    parts = [fidelity_trace(transfer, 0.93 * t_pst, 1.07 * t_pst, 28001)]
-    while True:
-        trace = FidelityTrace(*(
-            np.concatenate([getattr(part, name) for part in parts])
-            for name in ("times", "amplitude_abs", "fidelity")
-        ))
-        if threshold <= 0.5:  # F >= 1/2 everywhere, so the region has no edge
-            return trace
-        above = trace.fidelity >= threshold
-        peak = int(np.argmax(trace.fidelity))
-        start, end = trace.times[0], trace.times[-1]
-        if start > 0 and above[: peak + 1].all():
-            parts.insert(0, fidelity_trace(transfer, start - block, start - step, 14000))
-        elif end < 2 * t_pst and above[peak:].all():
-            parts.append(fidelity_trace(transfer, end + step, end + block, 14000))
-        else:
-            return trace
 
 
 def cmd_spectrum(args) -> None:

@@ -239,13 +239,18 @@ def fidelity_trace(
         raise ValueError("need t_start < t_end")
     if n_points < 2:
         raise ValueError("need at least 2 grid points")
+    _require_mirrored(transfer)
+    times = np.linspace(t_start, t_end, n_points)
+    amp = _transfer_abs(transfer, times)
+    return FidelityTrace(times=times, amplitude_abs=amp, fidelity=averaged_fidelity(amp))
+
+
+def _require_mirrored(transfer: tuple[np.ndarray, np.ndarray]) -> None:
+    """Raise ValueError unless (levels, products) is exactly mirrored, as `_transfer_abs` needs."""
     levels, products = transfer
     partner = (-1.0) ** (levels.size - 1) * products[::-1]
     if not (np.array_equal(levels, -levels[::-1]) and np.array_equal(products, partner)):
         raise ValueError("(levels, products) must be exactly mirrored, as end_to_end returns them")
-    times = np.linspace(t_start, t_end, n_points)
-    amp = _transfer_abs(transfer, times)
-    return FidelityTrace(times=times, amplitude_abs=amp, fidelity=averaged_fidelity(amp))
 
 
 def _transfer_abs(transfer: tuple[np.ndarray, np.ndarray], times: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
 
 from pstchain.analysis import (
@@ -14,10 +16,19 @@ from pstchain.analysis import (
     window_curvature,
     window_width,
 )
+from pstchain.cli import window_table
 from pstchain.disorder import DisorderModel, perturb_couplings, run_ensemble
-from pstchain.dynamics import FidelityTrace, diagonalize, end_to_end, fidelity_trace
+from pstchain.dynamics import (
+    FidelityTrace,
+    averaged_fidelity,
+    diagonalize,
+    end_to_end,
+    fidelity_trace,
+    transfer_amplitude,
+)
 from pstchain.errors import NoEchoError, NoWindowError
 from pstchain.inverse_eigen import CouplingSet
+from pstchain.pipeline import STANDARD_FAMILIES, design_standard
 
 from conftest import SEED
 
@@ -150,47 +161,115 @@ class TestWindowCurvature:
         ) < window_curvature(end_to_end(chains31["linear"].couplings))
 
 
+def _edge_40_digits(transfer, threshold, guess):
+    """Root of |f_N(t)| = sqrt(6 threshold - 2) - 1 near `guess`, by mpmath at 40 digits.
+
+    f_N is summed as sum_k P_k exp(-i omega_k t) over the same double
+    (levels, products), so the root tests the edge search, not the pair.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        terms = [(mpmath.mpf(float(w)), mpmath.mpf(float(p))) for w, p in zip(*transfer)]
+        a_min = mpmath.sqrt(6 * mpmath.mpf(threshold) - 2) - 1
+        return mpmath.findroot(
+            lambda t: abs(mpmath.fsum(p * mpmath.expj(-w * t) for w, p in terms)) - a_min,
+            mpmath.mpf(guess),
+        )
+
+
+@pytest.fixture(scope="module")
+def boundary_chains():
+    """quadratic_boundary at N = 101 and 301: 0.99-windows of 0.35 around t_pst = 7541 and 69751."""
+    return {n: design_standard("quadratic_boundary", n) for n in (101, 301)}
+
+
 class TestWindowWidth:
     def test_two_site_closed_form(self):
         # invert F = s/3 + s^2/6 + 1/2 at the threshold: s0 = sqrt(6 F0 - 2) - 1,
         # then |sin(J t)| >= s0 around the peak has width (pi - 2 asin s0) / J
         J, threshold = 1.1, 0.99
         transfer = end_to_end(CouplingSet([J]))
-        t_peak = np.pi / (2.0 * J)
-        tr = fidelity_trace(transfer, 0.0, 2.0 * t_peak, 40001)
         s0 = np.sqrt(6.0 * threshold - 2.0) - 1.0
         expected = (np.pi - 2.0 * np.arcsin(s0)) / J
-        assert window_width(tr, threshold) == pytest.approx(expected, rel=1e-6)
+        assert window_width(transfer, np.pi / (2.0 * J), threshold) == pytest.approx(expected, rel=1e-12)
+
+    def test_truncated_at_twice_t_pst(self):
+        # |sin t| >= s0 from asin(s0) to pi - asin(s0) > 2.8, so the right edge stops at 2 t_pst
+        transfer = end_to_end(CouplingSet([1.0]))
+        s0 = np.sqrt(6.0 * 0.55 - 2.0) - 1.0
+        assert window_width(transfer, 1.4, 0.55) == pytest.approx(2.8 - np.arcsin(s0), rel=1e-12)
 
     def test_quadratic_wider_than_linear(self, chains31):
         widths = {}
         for name in ("linear", "quadratic"):
             chain = chains31[name]
-            transfer = end_to_end(chain.couplings)
-            tr = fidelity_trace(transfer, 0.95 * chain.t_pst, 1.05 * chain.t_pst, 8001)
-            widths[name] = window_width(tr, 0.99)
+            widths[name] = window_width(end_to_end(chain.couplings), chain.t_pst, 0.99)
         assert widths["quadratic"] > widths["linear"]
 
     def test_nested_thresholds(self, chains31):
         chain = chains31["linear"]
         transfer = end_to_end(chain.couplings)
-        tr = fidelity_trace(transfer, 0.9 * chain.t_pst, 1.1 * chain.t_pst, 8001)
-        w95 = window_width(tr, 0.95)
-        w99 = window_width(tr, 0.99)
-        w999 = window_width(tr, 0.999)
+        w95 = window_width(transfer, chain.t_pst, 0.95)
+        w99 = window_width(transfer, chain.t_pst, 0.99)
+        w999 = window_width(transfer, chain.t_pst, 0.999)
         assert w999 < w99 < w95
 
     def test_no_window(self):
         transfer = end_to_end(CouplingSet([1.0]))
-        tr = fidelity_trace(transfer, 0.0, 0.3, 100)  # peak far beyond the trace
-        with pytest.raises(NoWindowError):
-            window_width(tr, 0.99)
+        with pytest.raises(NoWindowError):  # |f_N(0.3)| = sin 0.3, far below the threshold
+            window_width(transfer, 0.3, 0.99)
 
     def test_threshold_validation(self, chains31):
-        transfer = end_to_end(chains31["linear"].couplings)
-        tr = fidelity_trace(transfer, 0.0, 1.0, 10)
+        chain = chains31["linear"]
+        transfer = end_to_end(chain.couplings)
         with pytest.raises(ValueError):
-            window_width(tr, 0.4)
+            window_width(transfer, chain.t_pst, 0.4)
+
+    def test_input_validation(self, chains31):
+        chain = chains31["linear"]
+        levels, products = end_to_end(chain.couplings)
+        with pytest.raises(ValueError, match="positive"):
+            window_width((levels, products), -chain.t_pst, 0.99)
+        with pytest.raises(ValueError, match="mirrored"):
+            window_width((levels, products * (1.0 + 1e-12 * np.arange(levels.size))), chain.t_pst, 0.99)
+
+    @pytest.mark.parametrize("threshold", [0.8, 0.99, 0.999])
+    @pytest.mark.parametrize("name", sorted(STANDARD_FAMILIES))
+    def test_against_40_digit_roots(self, chains31, name, threshold):
+        chain = chains31[name]
+        transfer = end_to_end(chain.couplings)
+        width = window_width(transfer, chain.t_pst, threshold)
+        right, left = (_edge_40_digits(transfer, threshold, chain.t_pst + s * width / 2) for s in (1, -1))
+        assert width == pytest.approx(float(right - left), rel=1e-12)
+
+    @pytest.mark.parametrize("n_sites,expected", [(101, 0.347508885), (301, 0.347501773)])
+    def test_narrow_window_at_large_n(self, boundary_chains, n_sites, expected):
+        # the width as the command writes it
+        chain = boundary_chains[n_sites]
+        header, row = window_table(chain, 0.99, 2000).splitlines()[-2:]
+        width = float(dict(zip(header.split(","), row.split(",")))["width"])
+        right, left = (_edge_40_digits(chain.end_to_end, 0.99, chain.t_pst + s * expected / 2) for s in (1, -1))
+        assert float(right - left) == pytest.approx(expected, abs=5e-10)
+        # the times near t_pst are doubles spaced about 2 u t_pst apart
+        assert abs(width - float(right - left)) <= 8 * 2.0**-53 * chain.t_pst
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        name=st.sampled_from(sorted(STANDARD_FAMILIES)),
+        thresholds=st.lists(st.floats(0.55, 0.999), min_size=2, max_size=2),
+    )
+    def test_edges_sit_on_the_threshold(self, chains31, name, thresholds):
+        low, high = sorted(thresholds)
+        assume(high - low >= 1e-6)
+        chain = chains31[name]
+        transfer = end_to_end(chain.couplings)
+        widths = [window_width(transfer, chain.t_pst, threshold) for threshold in (low, high)]
+        assume(widths[0] < 2.0 * chain.t_pst)  # not truncated
+        for threshold, width in zip((low, high), widths):
+            for edge in (chain.t_pst - width / 2, chain.t_pst + width / 2):
+                fidelity = averaged_fidelity(abs(transfer_amplitude(transfer, edge)))
+                assert fidelity == pytest.approx(threshold, abs=1e-12)
+        assert widths[0] > widths[1]
 
 
 class TestDetectFirstMaximum:

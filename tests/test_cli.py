@@ -422,7 +422,7 @@ class TestReproduceCommand:
             assert len(columns) > 0 and data.size > 0
 
     def test_numerical_failure_exits_3(self, tmp_path, monkeypatch, capsys):
-        def no_window(trace, threshold):
+        def no_window(*args):
             raise NoWindowError("forced")
 
         monkeypatch.setattr("pstchain.cli.window_width", no_window)

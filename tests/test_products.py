@@ -58,11 +58,11 @@ PINNED_SHA256 = {
     "trace_quadratic_boundary.csv": "7fe10adba7c39d6dce0ce6d511db478939a254d7f221be85a0e93181f06e2293",
     "trace_sqrt_boundary.csv": "b97200ae7b108781161f140a73020b9fed59717ca40d06da720c7eb76bcf4f85",
     "trace_sqrt_center.csv": "8c39d7c79c9e3d9ec3789e062c00981c4d0ebeba51d99df435ccb191e25c6f03",
-    "window_linear.csv": "fcfc2e8153311c5d927fa14808e7aac9e12c5dd76acdaa776229e02e0845c4be",
-    "window_quadratic.csv": "83196377f7810b376cc0c8572bd442da8b39609096dc090e0bddd2a112a2cb63",
-    "window_quadratic_boundary.csv": "23f84234896780526aa7f03f9dac95fc1a3c00d4dd3ac88ab489e7e2545ee754",
-    "window_sqrt_boundary.csv": "70f93cb9075d6de8627ac0f8324347fe19004aa10ab398ccf3abdf37f81bac2d",
-    "window_sqrt_center.csv": "678a20bad1b62e9c1f5ac70bedc30d8bdab78472d0d9d9ba96e5fce65ac2465d",
+    "window_linear.csv": "3de66f08436d7675f9d4dfc751c1d36af61775173b3a4e3c01e4032e0e0135a9",
+    "window_quadratic.csv": "34218de72704840b8bfd946aff58bed9e1c8cf0af89b4b6e9c2fef2850d65d9e",
+    "window_quadratic_boundary.csv": "122dd03c7fb8276d5c991bb63e40cd72889ce336bef65ad6c443c7d834f1ee0d",
+    "window_sqrt_boundary.csv": "9e84eb5f71d20056081b3feec067ad7031739b8bca630edd95b06e6cf50c2219",
+    "window_sqrt_center.csv": "e286c1e05c61e29a9ca806c41e9f26520dffd2710e7a0367efa3c3edd1d2885a",
 }
 
 PINNED_SHA256_N31 = {
@@ -106,11 +106,11 @@ PINNED_SHA256_N31 = {
     "trace_quadratic_boundary.csv": "9074d87cce53ee34a3a36974eb6bec73e300480a33fc10ff1cfa61780c8ec9af",
     "trace_sqrt_boundary.csv": "fba006c464566e39fb2915c17d42cbdb825b66008125aecf7c71548ae13fb61e",
     "trace_sqrt_center.csv": "b78fc1dd3440c9b1014621524336dcac98b741b6c03a6eba022c0303842e2b91",
-    "window_linear.csv": "f7370f75b3bb4489568b8c689fd69715a502e1df120fe594901f55fada3771c8",
-    "window_quadratic.csv": "231c2ac99b9b2c1b0a7a5d203ba37b1669e76958ec817740feec669f69e98616",
-    "window_quadratic_boundary.csv": "872be450a1aa161b9e87b36095501511715455c2b0121765231b7db47cb2f8f5",
-    "window_sqrt_boundary.csv": "f767ac8e294b2a906e5b26a8a6649557d8429c39499d9d7a1be3e786cf91fabc",
-    "window_sqrt_center.csv": "e4cfd5cc6629ffdb0f9661c70a4c73fa4507f4d80551b9fb8d83003264ce3830",
+    "window_linear.csv": "7cd62877c8c4bae893458f9d093deaaef1a68865e38dfcb497cd60565aea9226",
+    "window_quadratic.csv": "3e0fc07aee23a1fb6c832f1fe61af10e4abb98e22ececbd61cacdba01f2b9ff6",
+    "window_quadratic_boundary.csv": "06e7f45f8473405c7f2371aeeed34ff9f50b69a6480a20efb2fa6f8dffaf27d9",
+    "window_sqrt_boundary.csv": "92caef9461951e6cefd04b871f90f5e5bce91b1522f4b0c2182d5b4aa0724590",
+    "window_sqrt_center.csv": "b5bba23f99bdb20bc6dfc60526ea1c2de8791ff3498eef6e9525e3d561a55637",
 }
 
 SUBCOMMAND_SHA256 = {
@@ -135,7 +135,7 @@ SUBCOMMAND_SHA256 = {
     "analyze --family center --alpha 2 --n 11 --level-shifts --eps 0.02 --nav 10 --seed 3":
         "3edfb2d2ab977c40c687b45c2b2de549bb778c49244523bfa3043a929025f0b7",
     "analyze --family center --alpha 2 --n 11 --window --points-per-period 300":
-        "10a121fe1a11f0893df278d14d77af05897df363dd643b0c82926486ce4c295e",
+        "3cab06b8402bec1277f2d912e893a6dfd348dca36276e9e3dd02ea4ee6e0b196",
 }
 
 
