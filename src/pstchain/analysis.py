@@ -15,7 +15,6 @@ from .disorder import DisorderModel, realizations
 from .dynamics import (
     PHASE_BLOCK,
     EigenSystem,
-    FidelityTrace,
     _require_mirrored,
     _transfer_abs,
     averaged_fidelity,
@@ -28,7 +27,7 @@ from .spectra import freeze
 WINDOW_THRESHOLD = 0.99
 #: Detection floor for the first-maximum search, above the F = 1/2 baseline.
 FIRST_MAX_FLOOR = 0.55
-#: Step of the window-edge walk in units of pi / sigma_max.  At t_pst every
+#: Step of the read-out walks in units of pi / sigma_max.  At t_pst every
 #: phase aligns, so |f_N(t_pst +- d)| = sum_k |P_k| cos(omega_k d) decreases
 #: strictly on [0, pi / sigma_max]; wider windows are found by walking on.
 WINDOW_STEP = 1 / 8
@@ -153,15 +152,11 @@ def window_width(
 ) -> float:
     """Duration of the contiguous interval around t_pst with F >= threshold.
 
-    Takes (levels, products), exactly mirrored as `dynamics.end_to_end`
-    returns them.  F >= threshold exactly where |f_N| >= a_min =
-    sqrt(6 threshold - 2) - 1.  Walking out from t_pst in steps
-    h = WINDOW_STEP pi / sigma_max, the first sample below a_min and the one
-    before it bracket an edge.  The bracket is split into 64 parts at a time
-    until it is no wider than 4 u t_pst, about the spacing of the doubles
-    near t_pst, and the edge is interpolated linearly within it.  An edge
-    that reaches t = 0 or 2 t_pst is truncated there.  A dip below a_min
-    that starts and ends within one step h is not seen.
+    Takes (levels, products), exactly mirrored as `dynamics.end_to_end` returns
+    them.  F >= threshold exactly where |f_N| >= a_min = sqrt(6 threshold - 2) - 1.
+    `_first_fall` solves the first edge met walking out from t_pst in steps
+    h = WINDOW_STEP pi / sigma_max; one that reaches t = 0 or 2 t_pst is
+    truncated there.  A dip below a_min between two samples is not seen.
     """
     if not 0.5 < threshold < 1.0:
         raise ValueError("threshold must lie in (0.5, 1)")
@@ -178,61 +173,72 @@ def window_width(
 
 def _window_edge(transfer, t_pst: float, a_min: float, step: float) -> float:
     """Offset from t_pst of the edge met walking by `step`, within [-t_pst, t_pst]."""
-    # 4 u t_pst is no less than the spacing of the doubles up to 2 t_pst, so a
-    # wider bracket holds a double between its ends and every split narrows it
-    tol = 2.0 * np.finfo(float).eps * t_pst
-    n_steps = int(np.ceil(t_pst / abs(step)))
-    for first in range(0, n_steps, PHASE_BLOCK):
-        # blocks overlap by one sample, so a block starts at t_pst or at a sample
-        # found above a_min, and its first sample below a_min has one before it
-        times = t_pst + step * np.arange(first, min(first + PHASE_BLOCK, n_steps) + 1)
-        np.clip(times, 0.0, 2.0 * t_pst, out=times)
-        excess = _transfer_abs(transfer, times) - a_min
-        while np.any(excess < 0):
-            i = np.argmax(excess < 0)  # the first sample below a_min
-            t0, t1, e0, e1 = times[i - 1], times[i], excess[i - 1], excess[i]
-            if abs(t1 - t0) <= tol:
-                return float((t0 - t_pst) + (t1 - t0) * e0 / (e0 - e1))
-            times = np.linspace(t0, t1, 65)  # keeps both ends exactly
-            excess = _transfer_abs(transfer, times) - a_min
+    excess = lambda t: _transfer_abs(transfer, t) - a_min  # noqa: E731
+    for times, amp in _walk(transfer, t_pst, step, t_pst):
+        if np.any(amp < a_min):  # a block starts at t_pst or at samples found above a_min
+            i = np.argmax(amp < a_min)
+            return _first_fall(excess, times[i - 1 : i + 1], t_pst, origin=t_pst)
     return -t_pst if step < 0 else t_pst
 
 
 def detect_first_maximum(
-    trace: FidelityTrace, min_fidelity: float = FIRST_MAX_FLOOR
+    transfer: tuple[np.ndarray, np.ndarray], t_end: float, min_fidelity: float = FIRST_MAX_FLOOR
 ) -> WindowMetrics:
-    """Time of the first local fidelity maximum above the detection floor.
+    """Time and fidelity of the first local maximum of F on (0, t_end] above min_fidelity.
 
-    Uses a 3-point stencil (suppresses grid-level wiggles around the F = 1/2
-    baseline) and refines the peak parabolically.  This is the earliest
-    constructive-interference arrival; only for some coupling patterns does
-    it coincide with the perfect-transfer time.
+    The earliest constructive arrival, only for some chains at t_pst.  Walks
+    from t = 0 in the steps h of `window_width`.  As |f_N''| <= sigma_max^2,
+    a maximum above a_floor (|f_N| at min_fidelity) lies beside a sample above
+    both neighbours and a_floor - (sigma_max h / 2)^2 / 2; `_first_fall`
+    solves each such bracket on d|f_N|/dt.  A maximum and minimum closer
+    together than h are not seen.
     """
-    fid = trace.fidelity
-    times = trace.times
-    for i in range(1, fid.size - 1):
-        if fid[i] <= min_fidelity:
-            continue
-        if fid[i - 1] < fid[i] and fid[i + 1] <= fid[i]:
-            t_peak, f_peak = _refine_peak(times, fid, i)
-            return WindowMetrics(first_max_time=t_peak, first_max_fidelity=f_peak)
-    raise NoEchoError(
-        f"no local maximum above {min_fidelity} found in [{times[0]:g}, {times[-1]:g}]"
-    )
+    if not 0.5 < min_fidelity < 1.0:
+        raise ValueError("min_fidelity must lie in (0.5, 1)")
+    if not 0 < t_end < np.inf:
+        raise ValueError("t_end must be positive and finite")
+    _require_mirrored(transfer)
+    step = WINDOW_STEP * np.pi / transfer[0][-1]  # so sigma_max h = WINDOW_STEP pi
+    lowest = np.sqrt(6.0 * min_fidelity - 2.0) - 1.0 - 0.5 * (0.5 * WINDOW_STEP * np.pi) ** 2
+    slope = lambda t: _transfer_abs(transfer, t, slope=True)  # noqa: E731
+    for times, amp in _walk(transfer, 0.0, step, t_end):
+        mid = amp[1:-1]
+        for i in np.flatnonzero((amp[:-2] < mid) & (mid >= amp[2:]) & (mid >= lowest)):
+            t_peak = _first_fall(slope, np.linspace(times[i], times[i + 2], 65), t_end)
+            if t_peak is not None:
+                f_peak = averaged_fidelity(_transfer_abs(transfer, np.array([t_peak]))[0])
+                if f_peak > min_fidelity:
+                    return WindowMetrics(first_max_time=t_peak, first_max_fidelity=f_peak)
+    raise NoEchoError(f"no local maximum above {min_fidelity} found in (0, {t_end:g}]")
 
 
-def _refine_peak(times: np.ndarray, fid: np.ndarray, i: int) -> tuple[float, float]:
-    t0, t1, t2 = times[i - 1 : i + 2]
-    f0, f1, f2 = fid[i - 1 : i + 2]
-    denom = f0 - 2.0 * f1 + f2
-    if denom >= 0:  # flat or non-concave sample triple; keep the grid point
-        return float(t1), float(f1)
-    shift = 0.5 * (f0 - f2) / denom
-    shift = float(np.clip(shift, -1.0, 1.0))
-    dt = t1 - t0
-    t_peak = t1 + shift * dt
-    f_peak = f1 - 0.25 * (f0 - f2) * shift
-    return float(t_peak), float(min(f_peak, 1.0))
+def _walk(transfer, start: float, step: float, span: float):
+    """Blocks of start + j step up to span from start, with |f_N|; blocks share two samples."""
+    n_steps = int(np.ceil(span / abs(step)))
+    for first in range(0, n_steps, PHASE_BLOCK - 2):
+        times = start + step * np.arange(first, min(first + PHASE_BLOCK, n_steps + 1))
+        np.clip(times, start - span, start + span, out=times)
+        yield times, _transfer_abs(transfer, times)
+
+
+def _first_fall(func, times: np.ndarray, t_ref: float, origin: float = 0.0):
+    """Offset from `origin` of the first fall of func on `times` from >= 0 to below 0.
+
+    Its bracket is split into 64 parts at a time until it is no wider than
+    4 u t_ref, no less than the spacing of the doubles up to 2 t_ref (so every
+    split narrows a wider one), and the fall interpolated linearly within
+    it; None if func never falls on `times`.
+    """
+    tol = 2.0 * np.finfo(float).eps * t_ref
+    while True:
+        values = func(times)
+        falls = np.flatnonzero((values[:-1] >= 0) & (values[1:] < 0))
+        if falls.size == 0:
+            return None
+        (t0, t1), (v0, v1) = times[falls[0] : falls[0] + 2], values[falls[0] : falls[0] + 2]
+        if abs(t1 - t0) <= tol:
+            return float((t0 - origin) + (t1 - t0) * v0 / (v0 - v1))
+        times = np.linspace(t0, t1, 65)  # keeps both ends exactly
 
 
 def speed_ratio(t_pst: float, n_sites: int, j_max: float) -> float:

@@ -130,13 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--nav", type=int, default=1000, help="realizations (level-shift mode, default 1000)")
     ana.add_argument("--seed", type=int, default=0, help="base seed (level-shift mode)")
     ana.add_argument("--threshold", type=float, default=0.99, help="window fidelity threshold (window mode, default 0.99)")
-    ana.add_argument(
-        "--points-per-period",
-        type=int,
-        default=2000,
-        help="points per t_pst of the first-maximum grid on [0, 1.05 t_pst] (window mode, "
-        "default 2000); the width is solved on the spectrum, not on a grid",
-    )
     _add_output_arg(ana)
     ana.set_defaults(handler=cmd_analyze)
 
@@ -346,23 +339,16 @@ def level_shifts_table(chain: DesignedChain, model: DisorderModel) -> str:
     )
 
 
-def window_table(chain: DesignedChain, threshold: float, points_per_period: int) -> str:
-    # rejects what the other traces reject, and a coarse grid 1.05 * points_per_period
-    # past the float range
-    _grid_points(1.05, points_per_period)
+def window_table(chain: DesignedChain, threshold: float) -> str:
     transfer = chain.end_to_end
-    # the first maximum is read off a coarse trace; the width is solved on the spectrum
-    coarse = fidelity_trace(transfer, 0.0, 1.05 * chain.t_pst, int(1.05 * points_per_period) + 1)
-    first = detect_first_maximum(coarse)
-    width = window_width(transfer, chain.t_pst, threshold)
-    params = {"threshold": threshold, "points_per_period": points_per_period}
+    first = detect_first_maximum(transfer, 1.05 * chain.t_pst)
     return render_table(
-        _metadata("analyze-window", chain.stage, params, _chain_results(chain)),
+        _metadata("analyze-window", chain.stage, {"threshold": threshold}, _chain_results(chain)),
         {
             "t_pst": [chain.t_pst],
             "gamma": [chain.gamma],
             "curvature": [window_curvature(transfer)],
-            "width": [width],
+            "width": [window_width(transfer, chain.t_pst, threshold)],
             "first_max_time": [first.first_max_time],
             "first_max_fidelity": [first.first_max_fidelity],
         },
@@ -403,7 +389,7 @@ def cmd_analyze(args) -> None:
         model = DisorderModel(epsilon=args.eps, n_realizations=args.nav, base_seed=args.seed)
         text = level_shifts_table(chain, model)
     else:
-        text = window_table(chain, args.threshold, args.points_per_period)
+        text = window_table(chain, args.threshold)
     _write(args.out, text)
 
 
@@ -425,7 +411,7 @@ def cmd_reproduce(args) -> None:
             "strength_sweep": sweep_table(chain, model, sweep),
             "localization": localization_table(chain),
             "level_shifts": level_shifts_table(chain, model),
-            "window": window_table(chain, threshold=0.99, points_per_period=2000),
+            "window": window_table(chain, threshold=0.99),
         }
         for stage, text in products.items():
             _write(os.path.join(args.outdir, f"{stage}_{name}.csv"), text)

@@ -253,7 +253,7 @@ def _require_mirrored(transfer: tuple[np.ndarray, np.ndarray]) -> None:
         raise ValueError("(levels, products) must be exactly mirrored, as end_to_end returns them")
 
 
-def _transfer_abs(transfer: tuple[np.ndarray, np.ndarray], times: np.ndarray) -> np.ndarray:
+def _transfer_abs(transfer, times: np.ndarray, slope: bool = False) -> np.ndarray:
     """|f_N(t)| of a mirrored (levels, products) pair on a time grid, clipped at 1.
 
     With sigma_k and P_k the m = N // 2 positive levels and their products,
@@ -263,7 +263,8 @@ def _transfer_abs(transfer: tuple[np.ndarray, np.ndarray], times: np.ndarray) ->
     stays bounded on long grids, and each block's phases are turned into
     cosines or sines in place.  einsum reduces every row by itself, so a
     row's sum does not depend on its block; a BLAS matrix-vector product
-    gives a block's last rows other last bits.
+    gives a block's last rows other last bits.  With `slope`, d|f_N|/dt =
+    sign(g) g' of the real sum g is returned in its place.
     """
     levels, products = transfer
     n = levels.size
@@ -271,10 +272,17 @@ def _transfer_abs(transfer: tuple[np.ndarray, np.ndarray], times: np.ndarray) ->
     sigma, twice = levels[n - m :], 2.0 * products[n - m :]
     wave = np.cos if odd else np.sin
     amp = np.empty(times.size)
+    if slope:  # d/dt cos(sigma t) = -sigma sin(sigma t), d/dt sin(sigma t) = sigma cos(sigma t)
+        rate_wave, rate_twice = (np.sin, -sigma * twice) if odd else (np.cos, sigma * twice)
+        rate = np.empty(times.size)
     for a in range(0, times.size, PHASE_BLOCK):
         phases = np.outer(times[a : a + PHASE_BLOCK], sigma)
+        if slope:
+            rate[a : a + PHASE_BLOCK] = np.einsum("tk,k->t", rate_wave(phases), rate_twice)
         amp[a : a + PHASE_BLOCK] = np.einsum("tk,k->t", wave(phases, out=phases), twice)
     if odd:
         amp += products[m]
+    if slope:
+        return np.multiply(rate, np.sign(amp), out=rate)
     np.abs(amp, out=amp)
     return np.minimum(amp, 1.0, out=amp)

@@ -19,11 +19,9 @@ from pstchain.analysis import (
 from pstchain.cli import window_table
 from pstchain.disorder import DisorderModel, perturb_couplings, run_ensemble
 from pstchain.dynamics import (
-    FidelityTrace,
     averaged_fidelity,
     diagonalize,
     end_to_end,
-    fidelity_trace,
     transfer_amplitude,
 )
 from pstchain.errors import NoEchoError, NoWindowError
@@ -177,10 +175,41 @@ def _edge_40_digits(transfer, threshold, guess):
         )
 
 
+def _peak_40_digits(transfer, guess):
+    """Root of d|f_N|^2/dt = 2 Re(conj(f_N) f_N') near `guess` and F there, by mpmath at 40 digits.
+
+    Summed over the same double (levels, products) as `_edge_40_digits`.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        terms = [(mpmath.mpf(float(w)), mpmath.mpf(float(p))) for w, p in zip(*transfer)]
+
+        def amplitude(t):
+            return mpmath.fsum(p * mpmath.expj(-w * t) for w, p in terms)
+
+        def slope(t):
+            rate = mpmath.fsum(-1j * w * p * mpmath.expj(-w * t) for w, p in terms)
+            return mpmath.re(mpmath.conj(amplitude(t)) * rate)
+
+        root = mpmath.findroot(slope, mpmath.mpf(guess))
+        a = abs(amplitude(root))
+        return root, a / 3 + a**2 / 6 + mpmath.mpf(1) / 2
+
+
 @pytest.fixture(scope="module")
 def boundary_chains():
     """quadratic_boundary at N = 101 and 301: 0.99-windows of 0.35 around t_pst = 7541 and 69751."""
     return {n: design_standard("quadratic_boundary", n) for n in (101, 301)}
+
+
+@pytest.fixture(scope="module")
+def boundary_rows(boundary_chains):
+    """The window row of each boundary chain as the command writes it, by column name."""
+    rows = {}
+    for n, chain in boundary_chains.items():
+        header, row = window_table(chain, 0.99).splitlines()[-2:]
+        rows[n] = {name: float(value) for name, value in zip(header.split(","), row.split(","))}
+    return rows
 
 
 class TestWindowWidth:
@@ -243,11 +272,9 @@ class TestWindowWidth:
         assert width == pytest.approx(float(right - left), rel=1e-12)
 
     @pytest.mark.parametrize("n_sites,expected", [(101, 0.347508885), (301, 0.347501773)])
-    def test_narrow_window_at_large_n(self, boundary_chains, n_sites, expected):
-        # the width as the command writes it
+    def test_narrow_window_at_large_n(self, boundary_chains, boundary_rows, n_sites, expected):
         chain = boundary_chains[n_sites]
-        header, row = window_table(chain, 0.99, 2000).splitlines()[-2:]
-        width = float(dict(zip(header.split(","), row.split(",")))["width"])
+        width = boundary_rows[n_sites]["width"]
         right, left = (_edge_40_digits(chain.end_to_end, 0.99, chain.t_pst + s * expected / 2) for s in (1, -1))
         assert float(right - left) == pytest.approx(expected, abs=5e-10)
         # the times near t_pst are doubles spaced about 2 u t_pst apart
@@ -275,30 +302,69 @@ class TestWindowWidth:
 class TestDetectFirstMaximum:
     def test_linear_first_maximum_is_transfer(self, chains31):
         chain = chains31["linear"]
-        tr = fidelity_trace(end_to_end(chain.couplings), 0.0, 1.05 * chain.t_pst, 4001)
-        found = detect_first_maximum(tr)
-        assert found.first_max_time == pytest.approx(chain.t_pst, rel=1e-4)
-        assert found.first_max_fidelity == pytest.approx(1.0, abs=1e-6)
+        found = detect_first_maximum(end_to_end(chain.couplings), 1.05 * chain.t_pst)
+        assert found.first_max_time == pytest.approx(chain.t_pst, rel=1e-12)
+        assert found.first_max_fidelity == pytest.approx(1.0, abs=1e-12)
 
     def test_sqrt_center_echo_precedes_transfer(self, chains31):
         chain = chains31["sqrt_center"]
-        tr = fidelity_trace(end_to_end(chain.couplings), 0.0, 1.05 * chain.t_pst, 8001)
-        found = detect_first_maximum(tr)
+        found = detect_first_maximum(end_to_end(chain.couplings), 1.05 * chain.t_pst)
         assert found.first_max_time < 0.5 * chain.t_pst
         assert found.first_max_fidelity < 0.99
 
+    @pytest.mark.parametrize("name", ["quadratic_boundary", "sqrt_center"])
+    def test_maximum_just_above_the_floor(self, chains31, name):
+        # the samples beside the echo read below its peak, so they fall under a floor
+        # 1e-9 below it; the curvature margin still takes them as candidates
+        chain = chains31[name]
+        transfer = end_to_end(chain.couplings)
+        found = detect_first_maximum(transfer, 1.05 * chain.t_pst)
+        again = detect_first_maximum(transfer, 1.05 * chain.t_pst, found.first_max_fidelity - 1e-9)
+        assert again == found
+
     def test_two_site(self):
         J = 0.9
-        transfer = end_to_end(CouplingSet([J]))
-        tr = fidelity_trace(transfer, 0.0, 2.5 * np.pi / J, 4001)
-        found = detect_first_maximum(tr)
-        assert found.first_max_time == pytest.approx(np.pi / (2.0 * J), rel=1e-4)
+        found = detect_first_maximum(end_to_end(CouplingSet([J])), 2.5 * np.pi / J)
+        assert found.first_max_time == pytest.approx(np.pi / (2.0 * J), rel=1e-12)
 
-    def test_no_echo_on_flat_floor(self):
-        times = np.linspace(0.0, 1.0, 100)
-        tr = FidelityTrace(times, np.zeros(100), 0.5 * np.ones(100))
+    def test_no_echo_on_flat_floor(self, chains31):
+        # before 0.1 t_pst the excitation has not reached the far end of the linear chain
+        chain = chains31["linear"]
         with pytest.raises(NoEchoError):
-            detect_first_maximum(tr)
+            detect_first_maximum(end_to_end(chain.couplings), 0.1 * chain.t_pst)
+
+    def test_input_validation(self, chains31):
+        chain = chains31["linear"]
+        levels, products = end_to_end(chain.couplings)
+        for floor in (0.5, 1.0, 0.4):
+            with pytest.raises(ValueError, match="min_fidelity"):
+                detect_first_maximum((levels, products), chain.t_pst, floor)
+        for t_end in (0.0, -chain.t_pst, np.nan, np.inf):
+            with pytest.raises(ValueError, match="positive"):
+                detect_first_maximum((levels, products), t_end)
+        with pytest.raises(ValueError, match="mirrored"):
+            detect_first_maximum((levels, products * (1.0 + 1e-12 * np.arange(levels.size))), chain.t_pst)
+
+    @pytest.mark.parametrize("name", sorted(STANDARD_FAMILIES))
+    def test_against_40_digit_roots(self, chains31, name):
+        chain = chains31[name]
+        transfer = end_to_end(chain.couplings)
+        found = detect_first_maximum(transfer, 1.05 * chain.t_pst)
+        root, fidelity = _peak_40_digits(transfer, found.first_max_time)
+        assert found.first_max_time == pytest.approx(float(root), rel=1e-13)
+        assert found.first_max_fidelity == pytest.approx(float(fidelity), abs=1e-14)
+
+    @pytest.mark.parametrize("n_sites,time,fidelity", [
+        (101, 175.548283568, 0.553261348), (301, 1006.252034329, 0.5504801405),
+    ])
+    def test_resolved_at_large_n(self, boundary_rows, boundary_chains, n_sites, time, fidelity):
+        # a grid of 2000 points per t_pst read 197.97 (F 0.5818) and 1285.76 (F 0.5874)
+        row = boundary_rows[n_sites]
+        root, reference = _peak_40_digits(boundary_chains[n_sites].end_to_end, time)
+        assert float(root) == pytest.approx(time, abs=1e-9)
+        assert float(reference) == pytest.approx(fidelity, abs=1e-9)
+        assert row["first_max_time"] == pytest.approx(float(root), rel=1e-13)
+        assert row["first_max_fidelity"] == pytest.approx(float(reference), abs=1e-14)
 
 
 class TestSpeedRatio:

@@ -348,8 +348,8 @@ class TestConfigurationErrors:
         assert capfd.readouterr().err == "configuration error: spectrum values must be finite\n"
 
     @pytest.mark.parametrize("argv", [
-        ["simulate"], ["ensemble", "--nav", "2"], ["analyze", "--window"],
-    ], ids=["simulate", "ensemble", "window"])
+        ["simulate"], ["ensemble", "--nav", "2"],
+    ], ids=["simulate", "ensemble"])
     def test_one_point_per_period_exits_2(self, capsys, argv):
         code = main(argv + ["--family", "center", "--alpha", "2", "--n", "11", "--points-per-period", "1"])
         assert code == EXIT_CONFIG
@@ -374,11 +374,8 @@ class TestConfigurationErrors:
     @pytest.mark.parametrize("argv,value", [
         (["simulate"], 10**400),
         (["ensemble", "--nav", "2"], 10**400),
-        (["analyze", "--window"], 10**400),
-        (["analyze", "--window"], 175 * 10**306),
-    ], ids=["simulate", "ensemble", "window", "window-coarse-grid"])
+    ], ids=["simulate", "ensemble"])
     def test_points_per_period_past_float_range_exits_2(self, capsys, argv, value):
-        # 175e306 is a float, but the window's 1.05x coarse grid is not
         code = main(argv + ["--family", "center", "--alpha", "2", "--n", "11", "--points-per-period", str(value)])
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
@@ -404,6 +401,13 @@ class TestThreadOptionRemoved:
     ], ids=["ensemble", "reproduce"])
     def test_threads_flag_exits_2(self, tmp_path, argv):
         assert main(argv + [str(tmp_path / "x"), "--threads", "2"]) == EXIT_CONFIG
+
+
+class TestWindowGridOptionRemoved:
+    def test_points_per_period_flag_exits_2(self, tmp_path):
+        # the first maximum is solved on the spectrum, so window mode has no grid to size
+        argv = ["analyze", "--window", "--family", "center", "--alpha", "2", "--n", "11"]
+        assert main(argv + ["--out", str(tmp_path / "x"), "--points-per-period", "300"]) == EXIT_CONFIG
 
 
 class TestReproduceCommand:

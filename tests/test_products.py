@@ -58,11 +58,11 @@ PINNED_SHA256 = {
     "trace_quadratic_boundary.csv": "7fe10adba7c39d6dce0ce6d511db478939a254d7f221be85a0e93181f06e2293",
     "trace_sqrt_boundary.csv": "b97200ae7b108781161f140a73020b9fed59717ca40d06da720c7eb76bcf4f85",
     "trace_sqrt_center.csv": "8c39d7c79c9e3d9ec3789e062c00981c4d0ebeba51d99df435ccb191e25c6f03",
-    "window_linear.csv": "3de66f08436d7675f9d4dfc751c1d36af61775173b3a4e3c01e4032e0e0135a9",
-    "window_quadratic.csv": "34218de72704840b8bfd946aff58bed9e1c8cf0af89b4b6e9c2fef2850d65d9e",
-    "window_quadratic_boundary.csv": "122dd03c7fb8276d5c991bb63e40cd72889ce336bef65ad6c443c7d834f1ee0d",
-    "window_sqrt_boundary.csv": "9e84eb5f71d20056081b3feec067ad7031739b8bca630edd95b06e6cf50c2219",
-    "window_sqrt_center.csv": "e286c1e05c61e29a9ca806c41e9f26520dffd2710e7a0367efa3c3edd1d2885a",
+    "window_linear.csv": "7d9ce684066773ebf420446f458476ad4014ae3a5c786d7ed192bd180e6dce8b",
+    "window_quadratic.csv": "8a6bf800613ec3fed1a3ffcef29da3075b0ff76e0e35eb5b8d9fea65f69fd4bc",
+    "window_quadratic_boundary.csv": "04773d523f7dd9a31f95d4c5f0e0190a7733f87959d7f6daae9435e947127170",
+    "window_sqrt_boundary.csv": "bdcda3aaad4382704b245636aab651b904e9e782b5736b9758cb52f5223c874f",
+    "window_sqrt_center.csv": "bf2d1d797f44dcb6a2e6d8296855eca598cbc1287479bace703a55cb57f98d4d",
 }
 
 PINNED_SHA256_N31 = {
@@ -106,11 +106,11 @@ PINNED_SHA256_N31 = {
     "trace_quadratic_boundary.csv": "9074d87cce53ee34a3a36974eb6bec73e300480a33fc10ff1cfa61780c8ec9af",
     "trace_sqrt_boundary.csv": "fba006c464566e39fb2915c17d42cbdb825b66008125aecf7c71548ae13fb61e",
     "trace_sqrt_center.csv": "b78fc1dd3440c9b1014621524336dcac98b741b6c03a6eba022c0303842e2b91",
-    "window_linear.csv": "7cd62877c8c4bae893458f9d093deaaef1a68865e38dfcb497cd60565aea9226",
-    "window_quadratic.csv": "3e0fc07aee23a1fb6c832f1fe61af10e4abb98e22ececbd61cacdba01f2b9ff6",
-    "window_quadratic_boundary.csv": "06e7f45f8473405c7f2371aeeed34ff9f50b69a6480a20efb2fa6f8dffaf27d9",
-    "window_sqrt_boundary.csv": "92caef9461951e6cefd04b871f90f5e5bce91b1522f4b0c2182d5b4aa0724590",
-    "window_sqrt_center.csv": "b5bba23f99bdb20bc6dfc60526ea1c2de8791ff3498eef6e9525e3d561a55637",
+    "window_linear.csv": "1d42e67993a5a376084a98576f3f365645fa7caa14dc816626a4de876f69ef4e",
+    "window_quadratic.csv": "93c1a6ab60d85ba1fe5bb4b24817733c4916cb1dee10926358ea479748334026",
+    "window_quadratic_boundary.csv": "591fb31f699c61af6be55726517efa70b7498e441e1de11c140d535663f6cf15",
+    "window_sqrt_boundary.csv": "4024d96791cbc64e0b66ac948f3f8214200c596e7c95d692ae547abb54106640",
+    "window_sqrt_center.csv": "202fc9daa35cd5a963e11e49cb8e8fae59cd703c643bb6f95f23f18f345c74f9",
 }
 
 SUBCOMMAND_SHA256 = {
@@ -134,8 +134,8 @@ SUBCOMMAND_SHA256 = {
         "bee407212b907d943eb64228b3e676771927facab57860431df42a6d85985583",
     "analyze --family center --alpha 2 --n 11 --level-shifts --eps 0.02 --nav 10 --seed 3":
         "3edfb2d2ab977c40c687b45c2b2de549bb778c49244523bfa3043a929025f0b7",
-    "analyze --family center --alpha 2 --n 11 --window --points-per-period 300":
-        "3cab06b8402bec1277f2d912e893a6dfd348dca36276e9e3dd02ea4ee6e0b196",
+    "analyze --family center --alpha 2 --n 11 --window":
+        "46418732c96470266f5ed9f9555d7e6f901fb2970c57dfe488ef4e00bfd0732f",
 }
 
 
