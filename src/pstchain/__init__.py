@@ -43,9 +43,7 @@ from .errors import (
 )
 from .inverse_eigen import (
     CouplingSet,
-    SpectralWeights,
     reconstruct_couplings,
-    spectral_weights,
     verify_reconstruction,
 )
 from .pipeline import STANDARD_FAMILIES, DesignedChain, design_chain, design_standard

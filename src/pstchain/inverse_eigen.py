@@ -1,9 +1,13 @@
 """Inverse eigenvalue problem for mirror-symmetric chains.
 
-An antisymmetric, non-degenerate spectrum determines a unique zero-diagonal
-Jacobi matrix with positive, mirror-symmetric couplings.  The construction
-goes through the spectral weights (squared first eigenvector components) and
-a Lanczos three-term recursion on the diagonalized operator.
+An antisymmetric, non-degenerate spectrum of odd length N = 2m + 1 determines
+a unique zero-diagonal Jacobi matrix with positive, mirror-symmetric
+couplings.  Mirror symmetry splits the chain into a symmetric and an
+antisymmetric sector whose levels interlace; the two spectra fix the
+symmetric sector's squared centre components as products of ratios in
+(0, 1), and a Lanczos three-term recursion on its m + 1 levels yields the
+couplings from the centre outward (Hochstadt, Arch. Math. 18, 201 (1967);
+de Boor & Golub, Linear Algebra Appl. 21, 245 (1978)).
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, eigvalsh_tridiagonal
-from scipy.special import logsumexp
 
 from .errors import NumericalError, ReconstructionUnstableError
 from .spectra import Spectrum, freeze
@@ -65,72 +68,65 @@ class CouplingSet:
         return CouplingSet(self.couplings * factor)
 
 
-@dataclass(frozen=True)
-class SpectralWeights:
-    """Squared first eigenvector components, normalized to unit sum."""
+def spectral_weights(spectrum: Spectrum) -> tuple[np.ndarray, np.ndarray]:
+    """Levels lambda and squared centre components z^2 of the symmetric sector.
 
-    weights: np.ndarray
-
-    def __post_init__(self):
-        freeze(self, "weights")
-        w = self.weights
-        if w.ndim != 1 or np.any(w <= 0):
-            raise ValueError("weights must be positive")
-        if abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must sum to 1")
-
-
-def spectral_weights(spectrum: Spectrum) -> SpectralWeights:
-    """Weights w_k = c / prod_{j != k} |omega_k - omega_j| with sum(w) = 1.
-
-    These are the unique first-component squares compatible with a
-    mirror-symmetric (persymmetric) Jacobi matrix having the given spectrum.
-    The product is evaluated in the log domain: for ~30 well-spread
-    eigenvalues it spans far more orders of magnitude than double precision
-    holds.  A weight that still underflows to zero raises
+    For N = 2m + 1 the mirror-symmetric chain splits into a symmetric sector S
+    (m + 1 sites: couplings J_1 ... J_{m-1} and sqrt(2) J_m to the centre) with
+    levels lambda = omega[::2], and an antisymmetric sector, the leading m x m
+    block of S, with levels mu = omega[1::2].  The squared last components of
+    S's eigenvectors are z_k^2 = prod_j r_kj with
+    r_kj = (lambda_k - mu_j) / (lambda_k - lambda_{j + [j >= k]}).  Interlacing
+    puts every ratio in (0, 1), so the product needs no logarithms.  The
+    weights come normalized to unit sum; a weight that underflows to zero, or
+    a level difference past the float range, raises
     ReconstructionUnstableError.
     """
     omega = spectrum.values
-    with np.errstate(over="ignore"):  # a distance past the float range gives weight 0
-        diff = np.abs(omega[:, None] - omega[None, :])
-    np.fill_diagonal(diff, 1.0)
-    if np.any(diff == 0.0):
-        raise ValueError("repeated eigenvalues: spectral weights diverge")
-    log_unnorm = -np.log(diff).sum(axis=1)
-    log_w = log_unnorm - logsumexp(log_unnorm)
-    weights = np.exp(log_w)
-    if not np.all(weights > 0):
+    if omega.size % 2 == 0:
+        raise ValueError("the two-sector inverse needs an odd number of levels")
+    lam, mu = omega[::2], omega[1::2]
+    n = lam.size
+    # an overflowing difference gives inf / inf = nan, caught with the underflow below
+    with np.errstate(over="ignore", invalid="ignore"):
+        # row k: lambda_k - lambda_j over j != k, ascending, which is j + [j >= k] for mu_j
+        gaps = (lam[:, None] - lam[None, :])[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+        z2 = np.prod((lam[:, None] - mu[None, :]) / gaps, axis=1)
+    if not np.all(z2 > 0):
         raise ReconstructionUnstableError(
-            f"spectral weights underflow (smallest log10 weight {log_w.min() / np.log(10):.1f})"
+            "symmetric-sector weights leave the float range "
+            "(a weight underflows to zero or a level difference overflows)"
         )
-    return SpectralWeights(weights)
+    return lam, z2 / z2.sum()
 
 
 def reconstruct_couplings(spectrum: Spectrum) -> CouplingSet:
     """Build the unique mirror-symmetric zero-diagonal chain with this spectrum.
 
-    Runs the Lanczos three-term recursion on diag(omega) starting from the
-    square-root weight vector, with full reorthogonalization.  The
-    off-diagonal recursion coefficients are the couplings J_i; the diagonal
-    coefficients must vanish for an antisymmetric spectrum and are checked
-    against DIAGONAL_TOLERANCE * omega_max before being forced to exact zero.
+    Solves the (m+1)-level symmetric sector for N = 2m + 1 (`spectral_weights`):
+    the Lanczos three-term recursion on diag(lambda), seeded by the square-root
+    sector weights with full reorthogonalization, yields sqrt(2) J_m,
+    J_{m-1}, ..., J_1 outward from the centre, and the mirror completes the
+    chain exactly.  The diagonal coefficients must vanish for an antisymmetric
+    spectrum and are checked against DIAGONAL_TOLERANCE * omega_max.  An
+    even-length spectrum raises ValueError.
 
-    Raises ReconstructionUnstableError, carrying the 1-based bond index, when
-    a squared off-diagonal coefficient falls below
-    BREAKDOWN_TOLERANCE * omega_max**2 or overflows.  Both sides of that test
-    scale alike, so the result does not depend on the energy scale.
+    Raises ReconstructionUnstableError, carrying the 1-based chain bond index
+    (the left one of its mirror pair), when a squared off-diagonal coefficient
+    falls below BREAKDOWN_TOLERANCE * omega_max**2 or overflows.  Both sides
+    of that test scale alike, so the result does not depend on the energy
+    scale.  `quadratic` at N = 4001 stops there, at its end bond
+    (beta^2 / omega_max^2 = 9.1e-14 for J_1).
     """
-    omega = spectrum.values
-    omega_max = float(np.max(np.abs(omega)))
-    weights = spectral_weights(spectrum).weights
-    alphas, betas = _lanczos_coefficients(omega, weights)
+    alphas, betas = _lanczos_coefficients(*spectral_weights(spectrum))
     max_diag = float(np.max(np.abs(alphas)))
-    if max_diag > DIAGONAL_TOLERANCE * omega_max:
+    if max_diag > DIAGONAL_TOLERANCE * spectrum.omega_max:
         raise ReconstructionUnstableError(
             f"diagonal recursion coefficients failed to vanish "
             f"(max |alpha| = {max_diag:.3e}); spectrum may not be antisymmetric"
         )
-    return CouplingSet(betas)
+    half = np.append(betas[:0:-1], betas[0] / np.sqrt(2.0))
+    return CouplingSet(np.concatenate([half, half[::-1]]))
 
 
 def verify_reconstruction(couplings: CouplingSet, spectrum: Spectrum) -> float:
@@ -151,7 +147,10 @@ def _lanczos_coefficients(
     """Three-term recursion coefficients of diag(omega) seeded by sqrt(weights).
 
     Full reorthogonalization (two passes per step) keeps the basis orthonormal
-    to machine precision at the chain lengths of interest.
+    to machine precision at the chain lengths of interest.  The recursion runs
+    on a symmetric sector from its centre site outward, so a breakdown at
+    step j (1-based) of n levels is reported as chain bond n - j, the left one
+    of its mirror pair.
     """
     n = omega.size
     omega_max = float(np.max(np.abs(omega)))
@@ -179,8 +178,8 @@ def _lanczos_coefficients(
         if not BREAKDOWN_TOLERANCE < ratio < np.inf:
             raise ReconstructionUnstableError(
                 f"recursion coefficient {'overflowed' if ratio == np.inf else 'collapsed'} "
-                f"at bond {j + 1} (beta^2 / omega_max^2 = {ratio:.3e})",
-                site_index=j + 1,
+                f"at bond {n - 1 - j} (beta^2 / omega_max^2 = {ratio:.3e})",
+                site_index=n - 1 - j,
             )
         betas[j] = np.sqrt(beta_sq)
         basis[j + 1] = r / betas[j]

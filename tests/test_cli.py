@@ -13,7 +13,7 @@ from pstchain.cli import (
     spectrum_table,
 )
 from pstchain import inverse_eigen
-from pstchain.errors import NoWindowError
+from pstchain.errors import NoWindowError, ReconstructionUnstableError
 from pstchain.inverse_eigen import CouplingSet
 from pstchain.pipeline import STANDARD_FAMILIES, design_chain, spectrum_stage
 from pstchain.spectra import SpectrumSpec
@@ -104,15 +104,29 @@ class TestChainCommand:
         assert dq[0, 2] < dl[0, 2]
         assert dq[-1, 2] < dl[-1, 2]
 
-    def test_underflowing_weights_exit_3(self, tmp_path, capsys):
-        # the spectrum is fine; its spectral weights underflow double precision
-        argv = ["--family", "center", "--alpha", "2", "--n", "501"]
+    @pytest.mark.parametrize("amplitude,cause", [
+        ("1e300", "recursion coefficient overflowed"),
+        # omega_max = 1.25e308: the levels are representable, their differences are not
+        ("5e306", "level difference overflows"),
+    ], ids=["recursion", "level-differences"])
+    def test_overflow_exits_3_where_spectrum_succeeds(self, tmp_path, capsys, amplitude, cause):
+        argv = ["--family", "center", "--alpha", "2", "--n", "11", "--amplitude", amplitude]
         code, _ = run(tmp_path, "c.csv", ["chain", *argv])
         assert code == EXIT_NUMERICAL
         err = capsys.readouterr().err
-        assert err.startswith("error (ReconstructionUnstableError): ") and "-391.9" in err
+        assert err.startswith("error (ReconstructionUnstableError): ") and err.count("\n") == 1
+        assert cause in err
         code, out = run(tmp_path, "s.csv", ["spectrum", *argv])
         assert code == EXIT_OK and out.stat().st_size > 0
+
+    def test_boundary_quadratic_designs_at_2001(self, tmp_path):
+        # the full-chain weights range over 120 decades here; the sector weights over a few
+        argv = ["chain", "--family", "boundary", "--alpha", "2", "--n", "2001"]
+        code, out = run(tmp_path, "c.csv", argv)
+        assert code == EXIT_OK
+        _, _, data = read_table(out)
+        assert data.shape[0] == 2000
+        assert np.all(data[:, 3] < 1e-12)
 
 
 class TestNumericalBreakdownExits3:
@@ -436,9 +450,13 @@ class TestReproduceCommand:
 
     @pytest.mark.parametrize("argv,exit_code", [
         (["--nav", "0"], EXIT_CONFIG),
-        (["--n", "415", "--nav", "2"], EXIT_NUMERICAL),  # quadratic's weights underflow
-    ], ids=["no-realizations", "quadratic-underflow"])
-    def test_invalid_run_writes_nothing(self, tmp_path, capsys, argv, exit_code):
+        (["--n", "5", "--nav", "2"], EXIT_NUMERICAL),
+    ], ids=["no-realizations", "reconstruction-unstable"])
+    def test_invalid_run_writes_nothing(self, tmp_path, monkeypatch, capsys, argv, exit_code):
+        def unstable(spectrum):
+            raise ReconstructionUnstableError("forced", site_index=1)
+
+        monkeypatch.setattr("pstchain.pipeline.reconstruct_couplings", unstable)
         outdir = tmp_path / "products"
         assert main(["reproduce", "--outdir", str(outdir), *argv]) == exit_code
         assert capsys.readouterr().err.count("\n") == 1

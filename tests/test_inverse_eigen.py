@@ -14,56 +14,67 @@ from pstchain.pipeline import STANDARD_FAMILIES, design_chain
 from pstchain.spectra import Spectrum, SpectrumSpec, commensurate_adjust, generate_spectrum
 
 
+def _sector_matrix_weights(couplings: np.ndarray) -> np.ndarray:
+    """Squared last eigenvector components of the symmetric sector of a mirrored chain."""
+    m = couplings.size // 2
+    sector = np.append(couplings[: m - 1], np.sqrt(2.0) * couplings[m - 1])
+    _, vecs = eigh_tridiagonal(np.zeros(m + 1), sector)
+    return vecs[-1] ** 2
+
+
 class TestSpectralWeights:
     def test_three_site_uniform(self):
-        w = spectral_weights(Spectrum([-np.sqrt(2), 0.0, np.sqrt(2)])).weights
-        np.testing.assert_allclose(w, [0.25, 0.5, 0.25], rtol=1e-14)
-        # cross-check against the eigenvectors of the uniform 3-site chain
-        _, vecs = eigh_tridiagonal(np.zeros(3), np.ones(2))
-        np.testing.assert_allclose(np.sort(vecs[0] ** 2), np.sort(w), rtol=1e-12)
+        lam, z2 = spectral_weights(Spectrum([-np.sqrt(2), 0.0, np.sqrt(2)]))
+        np.testing.assert_array_equal(lam, [-np.sqrt(2), np.sqrt(2)])
+        np.testing.assert_allclose(z2, [0.5, 0.5], rtol=1e-15)
+        # cross-check against the eigenvectors of the uniform chain's sector
+        np.testing.assert_allclose(_sector_matrix_weights(np.ones(2)), z2, rtol=1e-14)
 
     def test_two_site(self):
-        w = spectral_weights(Spectrum([-1.0, 1.0])).weights
-        np.testing.assert_allclose(w, [0.5, 0.5], rtol=1e-15)
+        # the two-sector inverse splits N = 2m + 1 levels; an even count has no centre
+        with pytest.raises(ValueError, match="odd number of levels"):
+            spectral_weights(Spectrum([-1.0, 1.0]))
 
     def test_equidistant_n5(self):
-        # direct product evaluation (no logs needed at this size):
-        # u_k = 1 / prod_{j != k} |w_k - w_j|, then normalize
-        values = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-        u = np.empty(5)
-        for k in range(5):
-            u[k] = 1.0 / np.prod(np.abs(values[k] - np.delete(values, k)))
-        expected = u / u.sum()
-        w = spectral_weights(Spectrum(values)).weights
-        np.testing.assert_allclose(w, expected, rtol=1e-14)
-        np.testing.assert_allclose(w, w[::-1], rtol=1e-14)
-        assert w.sum() == pytest.approx(1.0, abs=1e-14)
+        # direct product evaluation: lambda = (-2, 0, 2), mu = (-1, 1),
+        # z_k^2 = prod_j (lambda_k - mu_j) / prod_{j != k} (lambda_k - lambda_j)
+        lam = np.array([-2.0, 0.0, 2.0])
+        mu = np.array([-1.0, 1.0])
+        u = np.array([
+            np.prod(lam[k] - mu) / np.prod(lam[k] - np.delete(lam, k)) for k in range(3)
+        ])
+        _, z2 = spectral_weights(Spectrum([-2.0, -1.0, 0.0, 1.0, 2.0]))
+        np.testing.assert_allclose(z2, u / u.sum(), rtol=1e-15)
+        np.testing.assert_allclose(z2, [0.375, 0.25, 0.375], rtol=1e-15)
+
+    @pytest.mark.parametrize("name", sorted(STANDARD_FAMILIES))
+    def test_match_the_designed_sector(self, name, chains31):
+        _, z2 = spectral_weights(chains31[name].spectrum)
+        expected = _sector_matrix_weights(chains31[name].couplings.couplings)
+        np.testing.assert_allclose(z2, expected, rtol=1e-10)
 
     def test_wide_dynamic_range(self):
         s = generate_spectrum(SpectrumSpec(31, "center", 2.0))
-        w = spectral_weights(s).weights
-        assert np.all(w > 0) and np.isfinite(w).all()
-        assert w.sum() == pytest.approx(1.0, abs=1e-12)
+        _, z2 = spectral_weights(s)
+        assert np.all(z2 > 0) and np.isfinite(z2).all()
+        assert z2.sum() == pytest.approx(1.0, abs=1e-15)
+
+    def test_underflowing_weight_is_numerical(self):
+        # lambda = (-a, 0, a), mu = (-b, b): z^2 of the zero level is (b / a)^2 = 1e-400,
+        # below the least subnormal double
+        a, b = 1e100, 1e-100
+        with pytest.raises(ReconstructionUnstableError, match="underflows to zero"):
+            spectral_weights(Spectrum([-a, -b, 0.0, b, a]))
 
     def test_repeated_eigenvalues_unrepresentable(self):
         with pytest.raises(ValueError, match="increasing"):
             Spectrum([-1.0, 0.0, 0.0, 1.0])
 
-    @pytest.mark.parametrize("family,alpha,n,smallest", [
-        ("center", 2.0, 501, "-391.9"),
-        ("center", 2.0, 1001, "-787.7"),
-        ("boundary", 0.5, 1001, "-569.8"),
-    ])
-    def test_underflow_is_numerical(self, family, alpha, n, smallest):
-        # the smallest weight lies below the least subnormal double (1e-324)
-        s, _ = commensurate_adjust(generate_spectrum(SpectrumSpec(n, family, alpha)))
-        with pytest.raises(ReconstructionUnstableError, match=f"smallest log10 weight {smallest}"):
-            spectral_weights(s)
-
-    def test_smallest_representable_weights_pass(self):
-        # quadratic at N = 301 reaches log10 w = -233.7, still a normal double
-        w = spectral_weights(generate_spectrum(SpectrumSpec(301, "center", 2.0))).weights
-        assert 0 < w.min() < 1e-200
+    @pytest.mark.parametrize("name", ["quadratic", "sqrt_boundary"])
+    def test_far_from_underflow_at_1001(self, name, chains1001):
+        # the full-chain weights reach log10 -787.7 and -569.8 here
+        _, z2 = spectral_weights(chains1001[name].spectrum)
+        assert np.log10(z2.min()) > -7
 
 
 class TestReconstructCouplings:
@@ -72,8 +83,8 @@ class TestReconstructCouplings:
         np.testing.assert_allclose(J.couplings, [1.0, 1.0], rtol=1e-14)
 
     def test_two_site(self):
-        J = reconstruct_couplings(Spectrum([-1.0, 1.0]))
-        np.testing.assert_allclose(J.couplings, [1.0], rtol=1e-14)
+        with pytest.raises(ValueError, match="odd number of levels"):
+            reconstruct_couplings(Spectrum([-1.0, 1.0]))
 
     def test_linear_spectrum_known_closed_form(self):
         # the equidistant chain has J_i proportional to sqrt(i (N - i));
@@ -100,7 +111,7 @@ class TestReconstructCouplings:
     @pytest.mark.parametrize("name", sorted(STANDARD_FAMILIES))
     def test_mirror_symmetry(self, name, chains31):
         J = chains31[name].couplings.couplings
-        assert np.max(np.abs(J - J[::-1])) / J.max() < 1e-9
+        np.testing.assert_array_equal(J, J[::-1])
 
     def test_scale_equivariance(self):
         s = generate_spectrum(SpectrumSpec(15, "center", 2.0))
@@ -114,7 +125,7 @@ class TestReconstructCouplings:
         family, alpha = STANDARD_FAMILIES[name]
         raw = generate_spectrum(SpectrumSpec(31, family, alpha))
         s, _ = commensurate_adjust(raw)
-        alphas, _ = _lanczos_coefficients(s.values, spectral_weights(s).weights)
+        alphas, _ = _lanczos_coefficients(*spectral_weights(s))
         assert np.max(np.abs(alphas)) < 1e-10 * s.omega_max
 
     @pytest.mark.parametrize("amplitude", [1e-12, 1e-100])
@@ -139,20 +150,36 @@ class TestReconstructCouplings:
         assert quad[-1] < lin[-1]
         assert quad[15] / quad[0] > lin[15] / lin[0]
 
-    def test_breakdown_on_near_degenerate_pair(self):
+    def test_errors_name_the_chain_bond(self):
+        # the recursion starts at the centre: sector step 1 is bond m = 5
+        with pytest.raises(ReconstructionUnstableError, match="overflowed at bond 5 ") as exc:
+            design_chain(11, "center", 2.0, amplitude=1e153)
+        assert exc.value.site_index == 5
+
+    def test_near_degenerate_pair_designs(self):
         e = 5e-9
         s = Spectrum([-2.0 - e, -2.0 + e, 0.0, 2.0 - e, 2.0 + e])
-        with pytest.raises(ReconstructionUnstableError):
+        J = reconstruct_couplings(s)
+        centre = 2e-4 / np.sqrt(2)
+        np.testing.assert_allclose(J.couplings, [2.0, centre, centre, 2.0], rtol=1e-7)
+        assert verify_reconstruction(J, s) < 1e-15
+
+    def test_breakdown_on_near_degenerate_pair(self):
+        # beta^2 / omega_max^2 = 2e = 2e-14 at the centre bond, below BREAKDOWN_TOLERANCE
+        e = 1e-14
+        s = Spectrum([-2.0 - e, -2.0 + e, 0.0, 2.0 - e, 2.0 + e])
+        with pytest.raises(ReconstructionUnstableError, match="collapsed at bond 2 ") as exc:
             reconstruct_couplings(s)
+        assert exc.value.site_index == 2
 
     def test_breakdown_reports_bond_index(self):
-        # a zero weight confines the recursion to an (N-1)-dimensional
-        # invariant subspace, so the last coefficient must collapse
+        # a zero weight confines the recursion to a 4-dimensional invariant
+        # subspace, so its last step, the end bond 1 of a 9-site chain, collapses
         omega = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
         weights = np.array([0.25, 0.25, 0.0, 0.25, 0.25])
-        with pytest.raises(ReconstructionUnstableError) as exc:
+        with pytest.raises(ReconstructionUnstableError, match="collapsed at bond 1 ") as exc:
             _lanczos_coefficients(omega, weights)
-        assert exc.value.site_index == 4
+        assert exc.value.site_index == 1
 
 
 class TestVerifyReconstruction:

@@ -5,6 +5,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
 from pstchain import dynamics, pipeline, spectra
 from pstchain.cli import EXIT_OK, main
@@ -101,6 +104,42 @@ class TestSpectrumStage:
     def test_no_adjust_rejects_an_incommensurate_spectrum(self):
         with pytest.raises(NotCommensurateError):
             spectrum_stage(SpectrumSpec(31, "center", 0.5), no_adjust=True)
+
+
+def _assert_designed(chain, bound=1e-12):
+    """Residual, exact mirror symmetry and |f_N(t_pst)| = 1, checked by a dense eigensolve."""
+    J = chain.couplings.couplings
+    assert chain.residual < bound
+    np.testing.assert_array_equal(J, J[::-1])
+    values, vectors = eigh_tridiagonal(np.zeros(J.size + 1), J)
+    amplitude = abs(np.exp(-1j * values * chain.t_pst) @ (vectors[0] * vectors[-1]))
+    assert abs(amplitude - 1.0) < bound
+
+
+class TestTwoSectorInverse:
+    @pytest.mark.parametrize("name", ["quadratic", "sqrt_boundary"])
+    def test_designs_at_1001(self, name, chains1001):
+        _assert_designed(chains1001[name])
+
+    def test_linear_matches_its_closed_form_at_1001(self, chains1001):
+        n = 1001
+        i = np.arange(1, n, dtype=float)
+        closed = np.sqrt(i * (n - i))
+        J = chains1001["linear"].couplings.couplings
+        np.testing.assert_allclose(J, closed / closed.max(), rtol=1e-14, atol=0)
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(
+        family=st.sampled_from([spectra.CENTER, spectra.BOUNDARY]),
+        alpha=st.floats(0.3, 3.0),
+        half=st.integers(1, 50),
+    )
+    def test_designs_or_raises_numerical(self, family, alpha, half):
+        try:
+            chain = design_chain(2 * half + 1, family, alpha)
+        except NumericalError:
+            return
+        _assert_designed(chain)
 
 
 @pytest.mark.parametrize("error", [

@@ -18,99 +18,99 @@ import pytest
 from pstchain.cli import EXIT_OK, main
 
 PINNED_SHA256 = {
-    "chain_linear.csv": "56e94624783b9f7edbda229365ecbeec366db7cf12c4d7710b81777641dd3b37",
-    "chain_quadratic.csv": "4208414268c5913609d2464375466f4f713fed3f8b8fae9cce77a99be95e3c94",
-    "chain_quadratic_boundary.csv": "bb6462271d6cde18ac57733890753589b0bf91238d4fd03e9ff25a8e5b5c3518",
-    "chain_sqrt_boundary.csv": "ec398c8f533c5d6baae4e70883347d9d0c709c840ef02272b3003b44a227c452",
-    "chain_sqrt_center.csv": "b3e0f977e66e1aa01072988c3a24480a9898a400d7277a60d2b78d85d4dd4c9d",
-    "echoes_linear.csv": "acc3e37eb23a9fd442ffc5057bafb0299da6681bd4885fd0e62cf64aa04ed0ed",
-    "echoes_quadratic.csv": "23a1e99559c157b9374aaacfac424d0613bf9a565390853b64208dde0f35f8b1",
-    "echoes_quadratic_boundary.csv": "34cb8b038e0911f66dfe77cbd916adb074f7e192575ede3c1dd544751fa7744f",
-    "echoes_sqrt_boundary.csv": "9a5a0cdb87898e5c138058593345bc14a134921b22cbb86597c45a6070f3dd1b",
-    "echoes_sqrt_center.csv": "a97d74f2fe797a35ce2d5806d94b5bad67fda7caab34cee578828e7d0891b8b3",
-    "ensemble_trace_linear.csv": "9c34266a5015df988d7ca2fa72b363f0ed9be5453e251b744ea980a4cea6f5a2",
-    "ensemble_trace_quadratic.csv": "be83b59481f7efbab20fc2f7134bc10513ecc0f286a7f0b85e05232936384c21",
-    "ensemble_trace_quadratic_boundary.csv": "587296207cc77305f796e5277b62d11bc9bbfb79e2477a605dccc5f81edb20a0",
-    "ensemble_trace_sqrt_boundary.csv": "f1c5b5323103e8d2747975ec33d89d32176c8efb64dadb3d1bce89313e5d6c5c",
-    "ensemble_trace_sqrt_center.csv": "433ec88853cef67c88e0ab7abef480ac5002416b6298dcb2473690dea84657af",
-    "level_shifts_linear.csv": "699b929d4b848f553ad132871343d6bd169d149c9d4cace89a5b745ae1cf1dd5",
-    "level_shifts_quadratic.csv": "e963e95f15378162abdcc8a24c4f33b55561a993ff73a8fa71a7a4df6fce3120",
-    "level_shifts_quadratic_boundary.csv": "131f553a44947ccdf6082d1922a62f6ed74933acf3e21b50fec5e37b2e4d9ed6",
-    "level_shifts_sqrt_boundary.csv": "1f358138079871b3aa48b4d7881aa97f7f3a5f535d9c01d4f18dd6dbb01d8f99",
-    "level_shifts_sqrt_center.csv": "93a9a7762e9e9c2253909671aeec638ea738230b690fe71f530af3b5b8be56d4",
-    "localization_linear.csv": "02d8ab99b1442ed6e6bc6401ce090c4fdfbbc0a582df8588efa099a01ec59989",
-    "localization_quadratic.csv": "592e09254429431ad10604fe39eb3d8918fc30cbb3400bbf92d081c4e2857c57",
-    "localization_quadratic_boundary.csv": "92dbf26e4a8037cd60fe5661d7706fdd80dfb8835c03a46efaf08976eaa27792",
-    "localization_sqrt_boundary.csv": "36badc9fa26633b5910cd0c36e2bd216bb949a3ea5eb4c32f36195c9fe62f641",
-    "localization_sqrt_center.csv": "a33d74265a712ffe49893a5ae545266865a5c0e017450668ab3de409c53b9fc3",
+    "chain_linear.csv": "cc11e6a07b429e966f60b8710e9d6b7de89bb1bb9f5a05ec804bd338a8a24ea4",
+    "chain_quadratic.csv": "710acc8ed7fbb3922244b2e2c7f114554d6a20cbc41806a63c52f003bc08fc94",
+    "chain_quadratic_boundary.csv": "9fb17696ebf9bed78a502f5531c0906a9efd36202707e17ac1f45a4c2b052779",
+    "chain_sqrt_boundary.csv": "bd4894df325b3e59d60d2526e577d8dd2e678d5385c2bedf6cd4a7d1d35b86ff",
+    "chain_sqrt_center.csv": "30b7af6795aa06af71924cae9edaa272f386a0a754fec0e4eb816983b3eb9adc",
+    "echoes_linear.csv": "f6d9bdc74bd43072658bc56fa24e51625b25b7388b4d89e1911654e88e8391f0",
+    "echoes_quadratic.csv": "5789c86b6b23642fac09e86841caafb9729304c222411562ddad89aebe0e1527",
+    "echoes_quadratic_boundary.csv": "27c79a8d52ca71f9bbfc2b98d5747847b8eb6bbc0c20b741198f3b1dde1ea973",
+    "echoes_sqrt_boundary.csv": "245ed4330ae276191a0103bc03b1fd878072adaf538a62fdf0c302a93fa3a2e4",
+    "echoes_sqrt_center.csv": "5a72de24e90ee81a0e8ab441fd53669be49882e9e7976bb1e348a713c284d8bc",
+    "ensemble_trace_linear.csv": "c80d181f35aee30bae97d7332489f6311b0a2bfa137d7b3ecacb62f50a726eee",
+    "ensemble_trace_quadratic.csv": "3a19070445693775509e785b907a1961d082ce85d85158b1a4384cd8247b840e",
+    "ensemble_trace_quadratic_boundary.csv": "5b0842b0ca9f4641a2fb72db7636b78801f5ebffc9bd565542fccdf74b3aae8b",
+    "ensemble_trace_sqrt_boundary.csv": "ae657b40f6ef92ee79096eccbad1056f04dcb642ce754ff94de73e4936847c5d",
+    "ensemble_trace_sqrt_center.csv": "7557a23d50844fa9c06932c9f30bc01dafd051e9ef08b69d62485fb64f83fbd9",
+    "level_shifts_linear.csv": "17c0e8acc4eb18223bd2f5f1f69022269d0225aa9d702fc21224f8d9e6856b8f",
+    "level_shifts_quadratic.csv": "9c97505879fc45a8b38c8e6e27a81086e805fae293810865d726bd68da94e6b0",
+    "level_shifts_quadratic_boundary.csv": "cc77d4aefa49e99fc21c8ec0bc6eb7b2c08c84dd99b65f11f2ca4a16dc06c309",
+    "level_shifts_sqrt_boundary.csv": "81093f2b2e6b760878e80ce6019c293ee4baa641498a88306714a27ffc1fac60",
+    "level_shifts_sqrt_center.csv": "720e78409d20ad3d9dbe8d7d7294fc22383cd9123fbb90b8753e6b4b6bd09ec9",
+    "localization_linear.csv": "aef2ffd8b1b592266977f06b4999abd46add7c024680602a4d0489ebaa9b64e5",
+    "localization_quadratic.csv": "cc9947590d56bbf8c8ff7990cc133724ff0a5b95494b8e3c935af13efb46df6d",
+    "localization_quadratic_boundary.csv": "501bd8274bc37715319241932be73ab781ea7478d3ec3d3f393c23cf10b644e0",
+    "localization_sqrt_boundary.csv": "378e28b8018fe4829c724901e826cc5f044c6745dec9c716c5ca49c333af53aa",
+    "localization_sqrt_center.csv": "2e8f49489f4d2a220dc7e28c8a94852518aaa9e4191d8f8c61541253b4df8270",
     "spectrum_linear.csv": "9fbb3285b1a0c071a9f6554b26e2c45150a70a774a296ec5137fa4e6bbd6f43d",
     "spectrum_quadratic.csv": "a9164d84c28f11b575dff137702c651ecf9e7bd72c4baa0e2f000897670d70a2",
     "spectrum_quadratic_boundary.csv": "e4956393819c30662e0c97bb340092869e800cbacb3c09556c0eeb9137cd6b1d",
     "spectrum_sqrt_boundary.csv": "1b67ef10e6b1d3e7a8d812e1caccb74a046cb4a36974686a5f06e5e586c7693c",
     "spectrum_sqrt_center.csv": "e954b8a66703495b75a5abc65019f51b9d634df05292fb12436ef8fd8eb46e16",
-    "strength_sweep_linear.csv": "212399f5bc7351f9dcf89da454252b94aea79ba6b5ddfa2028311cd60edde4d5",
-    "strength_sweep_quadratic.csv": "ca2eda28414da144a4754a94eabb7ed61d747ac7c3e44256b46269a84a0248a9",
-    "strength_sweep_quadratic_boundary.csv": "c7f53a42fe69901c0f5f9d721c48c2bd8861d69bffe4496814e7c6d5dade04db",
-    "strength_sweep_sqrt_boundary.csv": "8cc1ecc521c97155f4e88d07fb0282e8e88644e96cb470656246d36c264ff2c2",
-    "strength_sweep_sqrt_center.csv": "0d4a6070b28854e34572d93be435c46891c2e8dd77c7863d61fe54208032cc0c",
-    "trace_linear.csv": "aa3350961b44b7b706e2786f838f4f09d97c6c7fbdbcdd6ca2f006a17ff47373",
-    "trace_quadratic.csv": "90f8fe05401272a47ba81226378acbbb6788f1f600e090604202f39e844522be",
-    "trace_quadratic_boundary.csv": "7fe10adba7c39d6dce0ce6d511db478939a254d7f221be85a0e93181f06e2293",
-    "trace_sqrt_boundary.csv": "b97200ae7b108781161f140a73020b9fed59717ca40d06da720c7eb76bcf4f85",
-    "trace_sqrt_center.csv": "8c39d7c79c9e3d9ec3789e062c00981c4d0ebeba51d99df435ccb191e25c6f03",
-    "window_linear.csv": "7d9ce684066773ebf420446f458476ad4014ae3a5c786d7ed192bd180e6dce8b",
-    "window_quadratic.csv": "8a6bf800613ec3fed1a3ffcef29da3075b0ff76e0e35eb5b8d9fea65f69fd4bc",
-    "window_quadratic_boundary.csv": "04773d523f7dd9a31f95d4c5f0e0190a7733f87959d7f6daae9435e947127170",
-    "window_sqrt_boundary.csv": "bdcda3aaad4382704b245636aab651b904e9e782b5736b9758cb52f5223c874f",
-    "window_sqrt_center.csv": "bf2d1d797f44dcb6a2e6d8296855eca598cbc1287479bace703a55cb57f98d4d",
+    "strength_sweep_linear.csv": "5764073ba40bbd2b6d4b3aa069116c9c9bd89394b8ea81f6f3cac0a210931745",
+    "strength_sweep_quadratic.csv": "2981dba97a08d0ace8885cbad2c5f41f7a19006faa78d5cf22026521fd8b6125",
+    "strength_sweep_quadratic_boundary.csv": "cc4cc66fb190c338b7dad51eb072d35bbcaa0f16817ec2e80ab3c4b53839f7df",
+    "strength_sweep_sqrt_boundary.csv": "394a52affaa45fcb0e0c11491c9f5982a96a1f6faeffd894c6028e792b52be8b",
+    "strength_sweep_sqrt_center.csv": "55cfd2c58fa332874b7358507436ffe58b58cebc2d8f5a40e180fb649fb8ecbd",
+    "trace_linear.csv": "b18cb811c7cb3d7fa9065421419b64de6d939b36ec169a500a19cd91cabdf793",
+    "trace_quadratic.csv": "8bffabe663c41fc7b3ce0270e1592c87cc5631b42eb49ff11ae42b3689a6783e",
+    "trace_quadratic_boundary.csv": "e2133853dfcad8327f926eec70e87c109ec23892f163e4ebbb5dd9d132387801",
+    "trace_sqrt_boundary.csv": "a287053e23087361be277da8129d02d4a526455edb82fe0ce7566a33507f2ab6",
+    "trace_sqrt_center.csv": "370b4ea1538cfa0cfab2359991a336efbcc1561f5a3abe70e1787e784518d414",
+    "window_linear.csv": "cdafd72947ef35b9fa686433cb33f354a8f95a5b1f987614e8cee5ef167182a4",
+    "window_quadratic.csv": "22cb2e8fb7e329bba431690efe10048373eac4a858b2e4b3a204a7b8d25be1e2",
+    "window_quadratic_boundary.csv": "471c3dce795176fa6e195ed2383966e17fb485f60ffc51049038913216a3a92e",
+    "window_sqrt_boundary.csv": "ed6e6a2336691959a03daad704717649049a4e312458f441f3011a2b3a34138b",
+    "window_sqrt_center.csv": "da6da9d0b744d62b58a32d0c048abc8336b276bcddf962bbe83e7fee1c815289",
 }
 
 PINNED_SHA256_N31 = {
-    "chain_linear.csv": "ff9e91982968d6c5ca65188b4029783cd843db51a9cf52a00bf57558d6ab2fda",
-    "chain_quadratic.csv": "4d4cd6107bae75942e4dddc7aa3a07cc2fd657cce058e0de162c3dc7e3a86961",
-    "chain_quadratic_boundary.csv": "ba88a7dae645202679f279be43886c1b167b783a4563baed706888fb5c25647a",
-    "chain_sqrt_boundary.csv": "1906348f8fa57aaf1bd17aed1eb15a0e5dab09a6de497339c935ef7ee0296f17",
-    "chain_sqrt_center.csv": "a0f30590099bb8c8cecb35502ee92aeff9c069ec880eb5f49b856941901a4f8e",
-    "echoes_linear.csv": "13c61a5e48fc793ce0075d1cf9404cccd517e54c3e8a2a9c3eb009bf56e7f78d",
-    "echoes_quadratic.csv": "e7f642060505c0763b15db6f1e7741b08db9e1bc2c3ab3598baac6ccec0e9929",
-    "echoes_quadratic_boundary.csv": "a9a162334ae2fa5be5da1e9adf58ccb8ff97ea72b1ef1279b1ab5b332e02dc7c",
-    "echoes_sqrt_boundary.csv": "971e04f24d0a4ded0c673f025164cc2b371605abc24c7849b6b189ffa0b2afba",
-    "echoes_sqrt_center.csv": "781ee7d648bf8f8860036d0572acfe600fd887603ab80f15dc125be24cfa2d12",
-    "ensemble_trace_linear.csv": "9c659364417a10e6051f4ac278df96aaee55d305ff34e1d083cf9915eadec721",
-    "ensemble_trace_quadratic.csv": "003194d281549690e70a6c704f4208b6290f66ddbf6bbfde29e8133cabb18652",
-    "ensemble_trace_quadratic_boundary.csv": "b046c6abd202467c2754a30e464d8937f2943161176b4c895f3ab8241605f715",
-    "ensemble_trace_sqrt_boundary.csv": "58c9793f8f6cb37453c83efe7f202e860816a1f20ad76db30a65579fb5f4c396",
-    "ensemble_trace_sqrt_center.csv": "5ad017a471ee76caf8af9c89e018dacf1aa57164f885a08196df802c45fe5f16",
-    "level_shifts_linear.csv": "e1dd7cd9cd68eee29434e5aec1e85b3379a5fecbd186e626950643bb0e444b55",
-    "level_shifts_quadratic.csv": "9bd6401e6aaacd2b11c648ec7a1f2bdbd36aa76a1f3e67d52d6c9d7c471c8816",
-    "level_shifts_quadratic_boundary.csv": "bb82fa2b45db4fd0b3309a120e861e52a82c1bb7d797bd44383aa1a3ef7a7480",
-    "level_shifts_sqrt_boundary.csv": "1420164c370aefa1997e8c62e2233556c4c8a310f18a87fd6409fd984ec01889",
-    "level_shifts_sqrt_center.csv": "3fbb33a870a34435d6d56c7e1d93426619fc909bb2de9f62cb249b891b5c2904",
-    "localization_linear.csv": "5af5027e819a5e41b9badb48ffc0859f7ebc59ce6cbe02682a7c7f7e6b81a964",
-    "localization_quadratic.csv": "df1a116f19e390b91f34e328a3ab0b5848064b172de62fd344e07e525f5927b1",
-    "localization_quadratic_boundary.csv": "4f95aab0a687d6bf2ae0a46a7490125688e46f9319dd75a024d5119cb4009a2c",
-    "localization_sqrt_boundary.csv": "0259d2d5a939054238dddf36c4f46412ecc58cac07af3e94c9ab1e46d5e89e2a",
-    "localization_sqrt_center.csv": "9b5f9838f07ddf398ac530871d9396f8678146ef0e37419a3dae3a3ee0b73325",
+    "chain_linear.csv": "fe5e1d642acf5c4d59d82592b29066f6b27b548cd8932b64f1a032978e93334e",
+    "chain_quadratic.csv": "179ef9804e16cc667c728e1c598d6748a89fac5b609605f232a915b3c61e468f",
+    "chain_quadratic_boundary.csv": "b5e3fb8048fc091a1e76b7f0d6c1cba7b0475af4728f5572eea0e11deddcc06f",
+    "chain_sqrt_boundary.csv": "4ca94479cac1a11bcfa6770f5f4b11c0b92b482b7440f922906efb8181805869",
+    "chain_sqrt_center.csv": "b9def8667e74c01dc66892caa0d3fe4f382f2cd305e2bec4d6240fe58e8dde0f",
+    "echoes_linear.csv": "5f4fc5900c2da33685d950ada80f0d57ebbb08e4ed630d8628cc40d463310655",
+    "echoes_quadratic.csv": "a3e992fd194238764ab76f954903309088ffa16463879aa79430aaff70cfdb29",
+    "echoes_quadratic_boundary.csv": "d19704f05d4ede787c564cb8bd1686eb7bdecc49554d0b1bafdcea7cbf98d2fd",
+    "echoes_sqrt_boundary.csv": "eff29fb1cc74919628117d54d849b4ae3fa4d19ca98eb849c36f158709aaffc3",
+    "echoes_sqrt_center.csv": "b459324d2cea685bb1e39333ba3a23f257a64c361f937065c6cbd2088b708bc5",
+    "ensemble_trace_linear.csv": "4c6ff056cb4ecf22fc1d7916ae7a32d1866d73cb24f14418cc564d9d6ee979e3",
+    "ensemble_trace_quadratic.csv": "ee602806c9da274f28aa946679b9213bd7395d2b4a615bbaf3dd526ff59494f2",
+    "ensemble_trace_quadratic_boundary.csv": "053b639d7dd62f1b82dc490963fcf88c7a4f687309554fff784d9748a16734a8",
+    "ensemble_trace_sqrt_boundary.csv": "24ddf8bc5058db22cecc087dc46f324524b4402408298683b8e1dbfd6eea3f4d",
+    "ensemble_trace_sqrt_center.csv": "07cd75a4476c16794752f4bb083ea3f50763dc1183c58073ea9ccaf0d626adb0",
+    "level_shifts_linear.csv": "be1f44022125bcc75a32b8b537866c251e1142769221c90cbd4834d123c8e6a3",
+    "level_shifts_quadratic.csv": "1f1e457a8da7f9428dbce19b3d2f9f7eadf6bd39127ccaa16afc93d5b00a494b",
+    "level_shifts_quadratic_boundary.csv": "4d10da057cb8241510da644ab9d740b165a202d33f512e73b3ec657f02abe32f",
+    "level_shifts_sqrt_boundary.csv": "59087ba7a85c0089b26e0cc2060fb635d5b9f452cdd109fde63c8af664d7040a",
+    "level_shifts_sqrt_center.csv": "769a90a454c9c84cf9eaae5c92f1a3f73e1b5d244a33f46d05c65c9817e83583",
+    "localization_linear.csv": "d88e1f84c925183f149d42be199778fdcfda01b9a063e63298e4fa88507de1c0",
+    "localization_quadratic.csv": "e3f7d4a44c4c32c114df679cedf5891ffe823bb722d3a30a9fdb732fedd3267d",
+    "localization_quadratic_boundary.csv": "a9d04b6cf7fba9751abab8f255b830c28c10a995e4efa590985f53dd1a5e6474",
+    "localization_sqrt_boundary.csv": "1e6be13116ba58b53392d9676e6e89bc419259301e08d3569cdd7c7b8bd08567",
+    "localization_sqrt_center.csv": "1138ec83631866da0b302fe5af2633771be0a91dde435fe2e67fde39bddfc339",
     "spectrum_linear.csv": "ae738c33ec1e8b7627256faa14ca884e901781174f56e258ff8d80fed5868d21",
     "spectrum_quadratic.csv": "ec46e8aff0208fb6edd02298781201b9c06be201bbee19a880abe7e33c56cb85",
     "spectrum_quadratic_boundary.csv": "d627a604eb65f996aef4359b4ed9456b9c254c953013742e25f9262a32956bed",
     "spectrum_sqrt_boundary.csv": "687025d28dec57827dcfc162e96ecd688ff0ffed812c290206a73a11bb9e6d8f",
     "spectrum_sqrt_center.csv": "468c4409a0ed2e08aac79541d45ebcd496dff7ada6b40954a60c4b00331f50d3",
-    "strength_sweep_linear.csv": "eeb7546159308e42b44d9d4368d2bf681f671bbecccd050ad1a9acfca4948211",
-    "strength_sweep_quadratic.csv": "8b267b0a3b3e96ecb7f997a829d408708618d575b80de91c3cd342b335fd43fd",
-    "strength_sweep_quadratic_boundary.csv": "50c076fa0d5018182f455ec0e41cc08ae24e549b9aa23224b2654a964070d4a7",
-    "strength_sweep_sqrt_boundary.csv": "14244c9cd801541ff9a19140a64cdd52efa30ace57570a732836f1815e7c99d2",
-    "strength_sweep_sqrt_center.csv": "6542811e6a077be62cd80cc19ae0ecc8e403bd1beef1f9e3436c8a00e8ebb9ef",
-    "trace_linear.csv": "0ee888f5b67f97873a270bb41b96b21cc51473f298a92d9c7f832182732b26f0",
-    "trace_quadratic.csv": "03e90dec4b7d855fe58c43232be68a9bfc99a258d1147def777e5611c43ef537",
-    "trace_quadratic_boundary.csv": "9074d87cce53ee34a3a36974eb6bec73e300480a33fc10ff1cfa61780c8ec9af",
-    "trace_sqrt_boundary.csv": "fba006c464566e39fb2915c17d42cbdb825b66008125aecf7c71548ae13fb61e",
-    "trace_sqrt_center.csv": "b78fc1dd3440c9b1014621524336dcac98b741b6c03a6eba022c0303842e2b91",
-    "window_linear.csv": "1d42e67993a5a376084a98576f3f365645fa7caa14dc816626a4de876f69ef4e",
-    "window_quadratic.csv": "93c1a6ab60d85ba1fe5bb4b24817733c4916cb1dee10926358ea479748334026",
-    "window_quadratic_boundary.csv": "591fb31f699c61af6be55726517efa70b7498e441e1de11c140d535663f6cf15",
-    "window_sqrt_boundary.csv": "4024d96791cbc64e0b66ac948f3f8214200c596e7c95d692ae547abb54106640",
-    "window_sqrt_center.csv": "202fc9daa35cd5a963e11e49cb8e8fae59cd703c643bb6f95f23f18f345c74f9",
+    "strength_sweep_linear.csv": "213d321fd34970da96597379189660f0f91bf77b2ccf5d4d34d59ba4ba51ba03",
+    "strength_sweep_quadratic.csv": "9607a2f9a3c78c2cc4af9992ad6f74c4783e4e47eb43ee7f447be9b3e140abe5",
+    "strength_sweep_quadratic_boundary.csv": "e2d4cb02d5f149be2bacef8acce5a6e32895a534c44191f3308865a3f536d6a8",
+    "strength_sweep_sqrt_boundary.csv": "89dacfa7f20626b7a38b84bb0191d4c6c447a528f51890b3de7d2e929c43743c",
+    "strength_sweep_sqrt_center.csv": "0a126a5c0f38809a8ff85351b27f72d38c49777fb2d38d72e93b6c272aa01d4d",
+    "trace_linear.csv": "bf3b3e6893ede8416d7c66e39f8fc3dd7678f4b4375ef6b5e7921562a9d3e2f2",
+    "trace_quadratic.csv": "8a6a42607dedbf50d28923b23e8ea63ea49e458c7e97534c1686b6e18ea645dd",
+    "trace_quadratic_boundary.csv": "8da7ab38c743036922f737af923804f2f1b25743a8c0af03ddda19e45cb5fdbb",
+    "trace_sqrt_boundary.csv": "ebbc841b11d2df0bc669ae4178a030a8f4349e416e08562901b155a93d7d9b1c",
+    "trace_sqrt_center.csv": "947ab1725a11755f17133c9b80668b2ac3b63bf9c40e59176d4e1e40a951ab80",
+    "window_linear.csv": "c518b23b926276f5d8b4e6ab477daa2248290376b954c8a2422a21b8157d8f7d",
+    "window_quadratic.csv": "f0608924d3116c24c156d9b30d7dcbc994106737d1718b47287da4673bc4cea6",
+    "window_quadratic_boundary.csv": "422edc55c0d933692121829650854686d4a46c655a983449991425cd86a0d890",
+    "window_sqrt_boundary.csv": "fbc2a50934923700e3d0d8826923f91d47435e20f234661c85b666a6c9e57dce",
+    "window_sqrt_center.csv": "6bd50398455d9c0bfc784729cff53188c1b911970e0cdae1e34d3d3c92b59f68",
 }
 
 SUBCOMMAND_SHA256 = {
@@ -119,23 +119,23 @@ SUBCOMMAND_SHA256 = {
     "spectrum --family center --alpha 1 --n 15 --no-adjust":
         "af6ee60ada1bb818f8f11d0d69f3dd87238f3e74bd293f3d6f168f9667ce3ae5",
     "chain --family boundary --alpha 2 --n 15 --amplitude 2.5":
-        "aba9c849cbc30349c61f8029170b6c057ffe684ce049fe0046bfc844a55421e0",
+        "672f3a209e2be43a56988d5644a31c2cbfc4165f287ae12eed8e4a09ee50b821",
     "chain --family boundary --alpha 0.5 --n 15 --no-normalize --base-search-tolerance 1e-3":
-        "fb33fa7819ff3fc7f6ce3fd03d8614c10e63d2e4eb1fc6e8466d0b7996979d11",
+        "b6778bdf4b9e4e1d755f41abf3b3a130f3e1f03a47aaba700b5e32f598577dbd",
     "simulate --family center --alpha 2 --n 11 --periods 1.5 --points-per-period 300":
-        "2ee1f9d48200b3427fa5ca7876a197f2de21f2b6d982934b51737370d423f87a",
+        "b86094bf9e17cd17b948717bb00ac3dc61eabd6c7a6ee088f224b564b07beb20",
     "ensemble --family center --alpha 2 --n 11 --eps 0.02 --nav 10 --seed 3":
-        "5f4dc4292175902951daf128e27513b2bd2e50be52b353b983710faf3995b918",
+        "db1a7c215ba88f3b39ec4a1316163b016c680d803f5584e8994ed3a228eb36ec",
     "ensemble --family center --alpha 2 --n 11 --eps 0.02 --nav 10 --seed 3 --echoes 4":
-        "d91c334cece144653feecadcc652af396a138449ae93125b8add5c755eb94fb8",
+        "9ee852172bf7cb18906c14c491986b87072d5da78b42cec007c99c15f71cf3dd",
     "ensemble --family center --alpha 2 --n 11 --eps 0.02 --nav 10 --seed 3 --sweep 0.05,0.1":
-        "fc4379587dfd6359668a0b0d3ef23a0186c12ab311520cd4cd176b6beea02629",
+        "17de3246119a0ceb000d6d3daaf436bc17349e5e66e6be3ead980d2154184ff6",
     "analyze --family center --alpha 2 --n 11 --localization":
-        "bee407212b907d943eb64228b3e676771927facab57860431df42a6d85985583",
+        "c9fe8e72351b0ebea98d0546e44b7c821d5ea5cd5bac66067117781f87ae76ec",
     "analyze --family center --alpha 2 --n 11 --level-shifts --eps 0.02 --nav 10 --seed 3":
-        "3edfb2d2ab977c40c687b45c2b2de549bb778c49244523bfa3043a929025f0b7",
+        "bff13574b80886bdc0f2c5e45e79b1e7a359223fd2673a798ae00895ec2378e2",
     "analyze --family center --alpha 2 --n 11 --window":
-        "46418732c96470266f5ed9f9555d7e6f901fb2970c57dfe488ef4e00bfd0732f",
+        "71ed0997e2dd7d218cfac423a6a6ac0adb5d9ddae440f80d87a24dc7fd5ef92e",
 }
 
 
