@@ -2,7 +2,8 @@
 
 Covers eigenvector site probabilities (localization), perturbed level-shift
 statistics, the curvature controlling the read-out window around the transfer
-peak, window widths, first-maximum detection, and transfer-speed ratios.
+peak, window widths and first-maximum detection (one walk, stepped by the
+end-to-end bandwidth sqrt(M2)), and transfer-speed ratios.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from .spectra import freeze
 WINDOW_THRESHOLD = 0.99
 #: Detection floor for the first-maximum search, above the F = 1/2 baseline.
 FIRST_MAX_FLOOR = 0.55
-#: Step of the read-out walks in units of pi / sigma_max.  At t_pst every
-#: phase aligns, so |f_N(t_pst +- d)| = sum_k |P_k| cos(omega_k d) decreases
-#: strictly on [0, pi / sigma_max]; wider windows are found by walking on.
+#: Step h of the read-out walks in units of pi / sqrt(M2), where
+#: M2 = sum_k |P_k| omega_k^2 bounds |f_N''| (J_1^2 on a clean mirrored chain),
+#: so that sqrt(M2) h = WINDOW_STEP pi.
 WINDOW_STEP = 1 / 8
 
 
@@ -154,9 +155,10 @@ def window_width(
 
     Takes (levels, products), exactly mirrored as `dynamics.end_to_end` returns
     them.  F >= threshold exactly where |f_N| >= a_min = sqrt(6 threshold - 2) - 1.
-    `_first_fall` solves the first edge met walking out from t_pst in steps
-    h = WINDOW_STEP pi / sigma_max; one that reaches t = 0 or 2 t_pst is
-    truncated there.  A dip below a_min between two samples is not seen.
+    `_first_fall` solves the first edge met walking out from t_pst in the
+    steps h of `_walk`; one that reaches t = 0 or 2 t_pst is truncated there.
+    As |f_N''| <= M2, a dip below a_min between two samples that the walk does
+    not see is shallower than M2 h^2 / 8 = (WINDOW_STEP pi)^2 / 8.
     """
     if not 0.5 < threshold < 1.0:
         raise ValueError("threshold must lie in (0.5, 1)")
@@ -167,18 +169,17 @@ def window_width(
     peak = _transfer_abs(transfer, np.array([t_pst]))[0]
     if peak < a_min:
         raise NoWindowError(f"F({t_pst:g}) = {averaged_fidelity(peak):.6f} is below {threshold}")
-    step = WINDOW_STEP * np.pi / transfer[0][-1]
-    return _window_edge(transfer, t_pst, a_min, step) - _window_edge(transfer, t_pst, a_min, -step)
+    return _window_edge(transfer, t_pst, a_min, 1) - _window_edge(transfer, t_pst, a_min, -1)
 
 
-def _window_edge(transfer, t_pst: float, a_min: float, step: float) -> float:
-    """Offset from t_pst of the edge met walking by `step`, within [-t_pst, t_pst]."""
+def _window_edge(transfer, t_pst: float, a_min: float, direction: int) -> float:
+    """Offset from t_pst of the edge met walking in `direction`, within [-t_pst, t_pst]."""
     excess = lambda t: _transfer_abs(transfer, t) - a_min  # noqa: E731
-    for times, amp in _walk(transfer, t_pst, step, t_pst):
+    for times, amp in _walk(transfer, t_pst, direction, t_pst):
         if np.any(amp < a_min):  # a block starts at t_pst or at samples found above a_min
             i = np.argmax(amp < a_min)
             return _first_fall(excess, times[i - 1 : i + 1], t_pst, origin=t_pst)
-    return -t_pst if step < 0 else t_pst
+    return direction * t_pst
 
 
 def detect_first_maximum(
@@ -187,21 +188,20 @@ def detect_first_maximum(
     """Time and fidelity of the first local maximum of F on (0, t_end] above min_fidelity.
 
     The earliest constructive arrival, only for some chains at t_pst.  Walks
-    from t = 0 in the steps h of `window_width`.  As |f_N''| <= sigma_max^2,
-    a maximum above a_floor (|f_N| at min_fidelity) lies beside a sample above
-    both neighbours and a_floor - (sigma_max h / 2)^2 / 2; `_first_fall`
-    solves each such bracket on d|f_N|/dt.  A maximum and minimum closer
-    together than h are not seen.
+    from t = 0 in the steps h of `_walk`.  As |f_N''| <= M2, a maximum above
+    a_floor (|f_N| at min_fidelity) lies beside a sample above both neighbours
+    and a_floor - M2 (h / 2)^2 / 2 = a_floor - (WINDOW_STEP pi / 2)^2 / 2;
+    `_first_fall` solves each such bracket on d|f_N|/dt.  A maximum and
+    minimum closer together than h are not seen.
     """
     if not 0.5 < min_fidelity < 1.0:
         raise ValueError("min_fidelity must lie in (0.5, 1)")
     if not 0 < t_end < np.inf:
         raise ValueError("t_end must be positive and finite")
     _require_mirrored(transfer)
-    step = WINDOW_STEP * np.pi / transfer[0][-1]  # so sigma_max h = WINDOW_STEP pi
     lowest = np.sqrt(6.0 * min_fidelity - 2.0) - 1.0 - 0.5 * (0.5 * WINDOW_STEP * np.pi) ** 2
     slope = lambda t: _transfer_abs(transfer, t, slope=True)  # noqa: E731
-    for times, amp in _walk(transfer, 0.0, step, t_end):
+    for times, amp in _walk(transfer, 0.0, 1, t_end):
         mid = amp[1:-1]
         for i in np.flatnonzero((amp[:-2] < mid) & (mid >= amp[2:]) & (mid >= lowest)):
             t_peak = _first_fall(slope, np.linspace(times[i], times[i + 2], 65), t_end)
@@ -212,8 +212,10 @@ def detect_first_maximum(
     raise NoEchoError(f"no local maximum above {min_fidelity} found in (0, {t_end:g}]")
 
 
-def _walk(transfer, start: float, step: float, span: float):
-    """Blocks of start + j step up to span from start, with |f_N|; blocks share two samples."""
+def _walk(transfer, start: float, direction: int, span: float):
+    """Blocks of start + j h up to span from start in `direction`, with |f_N|; blocks share two samples."""
+    levels, products = transfer
+    step = direction * WINDOW_STEP * np.pi / np.sqrt(np.abs(products) @ levels**2)  # h; see WINDOW_STEP
     n_steps = int(np.ceil(span / abs(step)))
     for first in range(0, n_steps, PHASE_BLOCK - 2):
         times = start + step * np.arange(first, min(first + PHASE_BLOCK, n_steps + 1))

@@ -1,9 +1,10 @@
 """Static coupling disorder: seeded ensembles and fidelity statistics.
 
 Each bond coupling is multiplied by (1 + delta_i) with delta_i drawn
-independently and uniformly from [-epsilon, +epsilon].  Realization r always
-draws from the stream derived from (base_seed, r), so every result here is a
-pure function of its inputs and bitwise reproducible.
+independently and uniformly from [-epsilon, +epsilon], 0 <= epsilon < 1.
+Realization r always draws from the stream derived from (base_seed, r), so
+every result here is a pure function of its inputs and bitwise reproducible.
+A strength sweep row is the first echo of `echo_decay` at that strength.
 """
 
 from __future__ import annotations
@@ -25,15 +26,18 @@ RNG_ALGORITHM_ID = "numpy-pcg64-seedsequence-spawnkey"
 
 @dataclass(frozen=True)
 class DisorderModel:
-    """Relative disorder strength plus the ensemble and seeding parameters."""
+    """Relative disorder strength in [0, 1) plus the ensemble and seeding parameters."""
 
     epsilon: float
     n_realizations: int
     base_seed: int
 
     def __post_init__(self):
-        if not 0 <= self.epsilon < np.inf:
-            raise ValueError("epsilon must be finite and non-negative")
+        if not 0 <= self.epsilon < 1:
+            raise ValueError(
+                f"disorder strength epsilon = {self.epsilon:g} is out of range: strengths must be "
+                "finite and non-negative, and below 1 so that no coupling turns non-positive"
+            )
         if self.n_realizations < 1:
             raise ValueError("need at least one realization")
         if not 0 <= int(self.base_seed) < 2**64:
@@ -73,8 +77,6 @@ def perturb_couplings(
             f"realization_index {realization_index} out of range "
             f"[0, {model.n_realizations})"
         )
-    if model.epsilon >= 1:
-        raise ValueError("epsilon >= 1 could make couplings non-positive")
     rng = realization_rng(model, realization_index)
     delta = rng.uniform(-model.epsilon, model.epsilon, size=couplings.couplings.size)
     return CouplingSet(couplings.couplings * (1.0 + delta))
@@ -152,19 +154,17 @@ def fidelity_vs_strength(
 ) -> np.ndarray:
     """Mean fidelity at the unperturbed t_pst versus disorder strength.
 
-    One ensemble per strength, all sharing base_seed (so the underlying
-    uniform draws are paired across strengths).  Returns rows of
+    Each row is the first echo of one ensemble per strength, all sharing
+    base_seed (so the underlying uniform draws are paired across strengths).
+    Every strength is checked before any realization runs.  Returns rows of
     (epsilon, mean_fidelity, std_error).
     """
-    epsilons = np.atleast_1d(np.asarray(epsilons, dtype=float))
-    if not np.all((0 <= epsilons) & (epsilons < np.inf)):
-        raise ValueError("disorder strengths must be finite and non-negative")
-    timing = pst_time(chain_spectrum(couplings))
-    rows = np.empty((epsilons.size, 3))
-    for i, eps in enumerate(epsilons):
-        model = DisorderModel(
-            epsilon=float(eps), n_realizations=n_realizations, base_seed=base_seed
-        )
-        result = run_ensemble(couplings, model, [timing.t_pst])
-        rows[i] = (eps, result.mean_fidelity[0], result.std_error[0])
+    models = [
+        DisorderModel(epsilon=float(eps), n_realizations=n_realizations, base_seed=base_seed)
+        for eps in np.atleast_1d(np.asarray(epsilons, dtype=float))
+    ]
+    rows = np.empty((len(models), 3))
+    for i, model in enumerate(models):
+        first = echo_decay(couplings, model, 1)
+        rows[i] = (model.epsilon, first.mean_fidelity[0], first.std_error[0])
     return rows

@@ -142,11 +142,11 @@ def design_chain(
     )
 
 
-def design_standard(name: str, n_sites: int, **kwargs) -> DesignedChain:
+def design_standard(name: str, n_sites: int) -> DesignedChain:
     """Design one of the five standard families by name."""
     if name not in STANDARD_FAMILIES:
         raise ValueError(
             f"unknown family name {name!r}; choose from {sorted(STANDARD_FAMILIES)}"
         )
     family, exponent = STANDARD_FAMILIES[name]
-    return design_chain(n_sites, family, exponent, **kwargs)
+    return design_chain(n_sites, family, exponent)

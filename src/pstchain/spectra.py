@@ -203,7 +203,7 @@ def commensurate_adjust(
     spectrum: Spectrum,
     base_search_tolerance: float = BASE_SEARCH_TOLERANCE,
 ) -> tuple[Spectrum, PstTiming]:
-    """Minimally readjust a spectrum so that it satisfies the PST condition.
+    """Minimally readjust an odd-length spectrum so that it satisfies the PST condition.
 
     If the input is already commensurate within the oddness tolerance, its
     gaps are merely snapped to exact odd multiples of the detected base.
@@ -226,6 +226,8 @@ def commensurate_adjust(
     lies near that edge, and a window reaching further down would give a
     smaller base and a longer t_pst.
     """
+    if spectrum.n_sites % 2 == 0:
+        raise ValueError("commensurate_adjust needs an odd number of levels")
     if not 0 < base_search_tolerance < np.inf:
         raise ValueError("base_search_tolerance must be positive and finite")
     n_candidates = float(np.rint((2.0 / 3.0) / base_search_tolerance)) + 1
@@ -290,17 +292,9 @@ def _best_base(gaps: np.ndarray, bases: np.ndarray) -> tuple[int, np.ndarray]:
 
 
 def _snap(multipliers: np.ndarray, base: float, n_values: int) -> Spectrum:
-    """Rebuild an antisymmetric spectrum from exact odd-multiple gaps."""
+    """Rebuild an odd-length antisymmetric spectrum from exact odd-multiple gaps."""
     m = np.asarray(multipliers, dtype=float)
     if m.size != n_values - 1:
         raise ValueError("need one multiplier per gap")
-    if n_values % 2:
-        center = (n_values - 1) // 2
-        upper = base * np.cumsum(m[center:])
-        values = np.concatenate([-upper[::-1], [0.0], upper])
-    else:
-        central = n_values // 2 - 1
-        first = 0.5 * base * m[central]
-        upper = first + np.concatenate([[0.0], base * np.cumsum(m[central + 1:])])
-        values = np.concatenate([-upper[::-1], upper])
-    return Spectrum(values)
+    upper = base * np.cumsum(m[(n_values - 1) // 2:])
+    return Spectrum(np.concatenate([-upper[::-1], [0.0], upper]))

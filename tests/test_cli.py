@@ -351,6 +351,28 @@ class TestConfigurationErrors:
         assert err.startswith("configuration error: ") and err.count("\n") == 1
         assert named in err
 
+    def test_sweep_strength_of_one_exits_before_any_realization(self, monkeypatch, capsys):
+        import pstchain.disorder as disorder
+
+        kernel, solved = disorder.end_to_end, []
+        monkeypatch.setattr(disorder, "end_to_end", lambda c: solved.append(c) or kernel(c))
+        code = main(["ensemble", "--family", "center", "--alpha", "2", "--n", "11", "--nav", "3", "--sweep", "0.1,1.5"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+        assert "1.5" in err and solved == []
+
+    def test_eps_of_one_exits_before_design(self, monkeypatch, capsys):
+        import pstchain.cli as cli
+
+        designed = []
+        monkeypatch.setattr(cli, "design_chain", lambda *args: designed.append(args) or design_chain(*args))
+        code = main(["ensemble", "--family", "center", "--alpha", "2", "--n", "11", "--nav", "3", "--eps", "1"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+        assert "epsilon" in err and designed == []
+
     @pytest.mark.parametrize("argv", [
         ["--family", "center", "--alpha", "2", "--amplitude", "1e308"],
         ["--family", "boundary", "--alpha", "2", "--amplitude", "1e308"],

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
 
 from pstchain.disorder import (
@@ -11,9 +13,11 @@ from pstchain.disorder import (
     realizations,
     run_ensemble,
 )
-from pstchain.dynamics import diagonalize, end_to_end, fidelity_trace, transfer_amplitude, averaged_fidelity
+from pstchain.dynamics import chain_spectrum, diagonalize, end_to_end, fidelity_trace, transfer_amplitude, averaged_fidelity
 from pstchain.errors import NotCommensurateError
 from pstchain.inverse_eigen import CouplingSet
+from pstchain.pipeline import STANDARD_FAMILIES
+from pstchain.spectra import pst_time
 
 from conftest import SEED
 
@@ -24,7 +28,8 @@ def model(eps=0.01, nav=10, seed=SEED):
 
 class TestDisorderModel:
     def test_validation(self):
-        for eps in (-0.1, np.nan, np.inf):
+        assert DisorderModel(epsilon=np.nextafter(1.0, 0.0), n_realizations=10, base_seed=1)
+        for eps in (-0.1, np.nan, np.inf, 1.0):
             with pytest.raises(ValueError):
                 DisorderModel(epsilon=eps, n_realizations=10, base_seed=1)
         with pytest.raises(ValueError):
@@ -189,7 +194,8 @@ class TestEchoDecay:
         m = model(eps=0.04, nav=20)
         echoes = echo_decay(chain.couplings, m, 3)
         direct = run_ensemble(chain.couplings, m, [echoes.times[0]])
-        # same seeds and times; only the BLAS kernel shape differs
+        # same seeds, times and samples; numpy reduces axis 0 of an (R, 3)
+        # array in a different order from an (R, 1) one, so the last bits may differ
         assert echoes.mean_fidelity[0] == pytest.approx(direct.mean_fidelity[0], abs=1e-14)
         assert echoes.std_error[0] == pytest.approx(direct.std_error[0], abs=1e-14)
 
@@ -223,6 +229,21 @@ class TestFidelityVsStrength:
         for i in range(len(eps) - 1):
             slack = 2.0 * np.hypot(errs[i], errs[i + 1])
             assert means[i + 1] <= means[i] + slack
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(
+        name=st.sampled_from(sorted(STANDARD_FAMILIES)),
+        strengths=st.lists(st.sampled_from([0.0, 0.01, 0.3]), min_size=1, max_size=3),
+        nav=st.integers(1, 12),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_rows_are_ensembles_at_the_clean_t_pst(self, chains31, name, strengths, nav, seed):
+        couplings = chains31[name].couplings
+        t_pst = pst_time(chain_spectrum(couplings)).t_pst
+        rows = fidelity_vs_strength(couplings, strengths, nav, seed)
+        for eps, row in zip(strengths, rows):
+            direct = run_ensemble(couplings, model(eps=eps, nav=nav, seed=seed), [t_pst])
+            assert row.tolist() == [eps, direct.mean_fidelity[0], direct.std_error[0]]
 
     def test_negative_strength_rejected(self, chains31):
         for strengths in ([-0.1], [0.1, np.nan], [np.inf]):

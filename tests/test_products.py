@@ -59,7 +59,7 @@ PINNED_SHA256 = {
     "trace_sqrt_boundary.csv": "a287053e23087361be277da8129d02d4a526455edb82fe0ce7566a33507f2ab6",
     "trace_sqrt_center.csv": "370b4ea1538cfa0cfab2359991a336efbcc1561f5a3abe70e1787e784518d414",
     "window_linear.csv": "cdafd72947ef35b9fa686433cb33f354a8f95a5b1f987614e8cee5ef167182a4",
-    "window_quadratic.csv": "22cb2e8fb7e329bba431690efe10048373eac4a858b2e4b3a204a7b8d25be1e2",
+    "window_quadratic.csv": "53d2c29ddb8590784f591f9d963bbd66341f80dc0d73f6b8d7a23d3ad889b2bf",
     "window_quadratic_boundary.csv": "471c3dce795176fa6e195ed2383966e17fb485f60ffc51049038913216a3a92e",
     "window_sqrt_boundary.csv": "ed6e6a2336691959a03daad704717649049a4e312458f441f3011a2b3a34138b",
     "window_sqrt_center.csv": "da6da9d0b744d62b58a32d0c048abc8336b276bcddf962bbe83e7fee1c815289",
@@ -109,7 +109,7 @@ PINNED_SHA256_N31 = {
     "window_linear.csv": "c518b23b926276f5d8b4e6ab477daa2248290376b954c8a2422a21b8157d8f7d",
     "window_quadratic.csv": "f0608924d3116c24c156d9b30d7dcbc994106737d1718b47287da4673bc4cea6",
     "window_quadratic_boundary.csv": "422edc55c0d933692121829650854686d4a46c655a983449991425cd86a0d890",
-    "window_sqrt_boundary.csv": "fbc2a50934923700e3d0d8826923f91d47435e20f234661c85b666a6c9e57dce",
+    "window_sqrt_boundary.csv": "7be268f3dae55c1138f003d341b49c786eba252a47931b0521a03e82cdf0d241",
     "window_sqrt_center.csv": "6bd50398455d9c0bfc784729cff53188c1b911970e0cdae1e34d3d3c92b59f68",
 }
 

@@ -261,6 +261,11 @@ class TestCommensurateAdjust:
         with pytest.raises(ValueError, match="positive and finite"):
             commensurate_adjust(raw, tolerance)
 
+    def test_even_spectrum_rejected(self):
+        # a commensurate even spectrum: gaps 2, 2, 2 are odd multiples of base 2
+        with pytest.raises(ValueError, match="odd number of levels"):
+            commensurate_adjust(Spectrum([-3.0, -1.0, 1.0, 3.0]))
+
     def test_degenerate_gaps_rejected(self):
         s = Spectrum([-2.0, -1e-5, 0.0, 1e-5, 2.0])
         with pytest.raises(DegenerateGapsError):
