@@ -39,7 +39,7 @@ from .disorder import (
     fidelity_vs_strength,
     run_ensemble,
 )
-from .dynamics import fidelity_trace
+from .dynamics import diagonalize, fidelity_trace
 from .errors import NumericalError
 from .pipeline import STANDARD_FAMILIES, DesignedChain, SpectrumStage, design_chain, design_standard, spectrum_stage
 from .spectra import BASE_SEARCH_TOLERANCE, FAMILIES, MAX_SCAN_CANDIDATES, SpectrumSpec
@@ -307,7 +307,7 @@ def sweep_table(chain: DesignedChain, model: DisorderModel, strengths: list[floa
 
 
 def localization_table(chain: DesignedChain) -> str:
-    pmap = site_probabilities(chain.eigensystem)
+    pmap = site_probabilities(diagonalize(chain.couplings))
     results = {
         "t_pst": chain.t_pst,
         "participation_ratio_site1": participation_ratio(pmap.p[:, 0]),
@@ -401,7 +401,7 @@ def cmd_reproduce(args) -> None:
     sweep = [0.01, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3]
     written = 0
     for name in STANDARD_FAMILIES:
-        chain = chains.pop(name)  # released with its cached eigensystem once its tables are written
+        chain = chains.pop(name)
         products = {
             "spectrum": spectrum_table(chain.stage),
             "chain": chain_table(chain),

@@ -104,18 +104,21 @@ def run_ensemble(
     """Disorder-averaged fidelity on a time grid.
 
     Realizations run in one loop in index order, each through `end_to_end`
-    (eigenvalues and the product identity; no eigenvectors).  `n_workers` has
-    no effect; it is accepted only so that existing callers that pass it keep
+    (eigenvalues and the product identity; no eigenvectors).  Each time's
+    samples are reduced as one contiguous row, so its mean and standard error
+    do not depend on the other times in the grid.  `n_workers` has no
+    effect; it is accepted only so that existing callers that pass it keep
     working.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    samples = np.array([
+    per_time = np.ascontiguousarray(np.array([
         averaged_fidelity(_transfer_abs(end_to_end(chain), times))
         for chain in realizations(couplings, model)
-    ])
-    mean = samples.mean(axis=0)
-    if len(samples) > 1:
-        std_error = samples.std(axis=0, ddof=1) / np.sqrt(len(samples))
+    ]).T)
+    n_samples = per_time.shape[1]
+    mean = per_time.mean(axis=1)
+    if n_samples > 1:
+        std_error = per_time.std(axis=1, ddof=1) / np.sqrt(n_samples)
     else:
         std_error = np.zeros_like(mean)
     return EnsembleResult(

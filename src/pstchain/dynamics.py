@@ -7,8 +7,10 @@ commensurate chains are exactly periodic instead of drifting the way a step
 integrator would.
 
 End-to-end transfer needs only the levels omega_k and the products
-a_{k,1} a_{k,N}, which `end_to_end` takes from the eigenvalues alone; the
-full eigensystem (`diagonalize`) is solved only where eigenvectors are read.
+a_{k,1} a_{k,N}, which `end_to_end` takes from the eigenvalues alone, and
+`_transfer_abs` is the one evaluator of |f_N(t)| built on them.  The full
+eigensystem (`diagonalize`) is solved only for the localization table, the
+one product that reads eigenvectors.
 """
 
 from __future__ import annotations
@@ -61,15 +63,6 @@ class EigenSystem:
             raise ValueError("eigenvector matrix is not orthonormal")
         del gram  # the private copy is taken only once the input has passed
         freeze(self, "eigenvalues", "eigenvectors")
-
-    @property
-    def n_sites(self) -> int:
-        return self.eigenvalues.size
-
-    @property
-    def end_to_end_products(self) -> np.ndarray:
-        """a_{k,N} * a_{k,1}, the only eigenvector data entering f_N(t)."""
-        return self.eigenvectors[:, -1] * self.eigenvectors[:, 0]
 
 
 @dataclass(frozen=True)
@@ -193,22 +186,6 @@ def _mirrored(levels: np.ndarray) -> np.ndarray:
 def chain_spectrum(couplings: CouplingSet) -> Spectrum:
     """Eigenvalues of a zero-field chain as an exactly antisymmetric Spectrum."""
     return Spectrum(_mirrored(couplings.eigenvalues()))
-
-
-def transfer_amplitude(transfer: tuple[np.ndarray, np.ndarray], t: float) -> complex:
-    """End-to-end amplitude f_N(t) = sum_k P_k exp(-i omega_k t) of (levels, products)."""
-    if t < 0:
-        raise ValueError("time must be non-negative")
-    levels, products = transfer
-    return complex(np.sum(products * np.exp(-1j * levels * t)))
-
-
-def site_amplitudes(eig: EigenSystem, t: float) -> np.ndarray:
-    """Amplitudes f_i(t) on every site; their squared moduli sum to 1."""
-    if t < 0:
-        raise ValueError("time must be non-negative")
-    phases = np.exp(-1j * eig.eigenvalues * t) * eig.eigenvectors[:, 0]
-    return eig.eigenvectors.T @ phases
 
 
 def averaged_fidelity(amplitude_abs):

@@ -3,7 +3,9 @@
 The standard workflow generates a spectrum family member at unit amplitude,
 snaps it commensurate if needed (the spectrum stage), solves the inverse
 eigenvalue problem, and then rescales spectrum and couplings jointly so that
-the largest coupling is exactly 1 (times rescale inversely).
+the largest coupling is exactly 1 (times rescale inversely).  A designed
+chain caches only its levels and end-to-end products; no eigenvector is
+solved here.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .analysis import speed_ratio
-from .dynamics import EigenSystem, diagonalize, end_to_end
+from .dynamics import end_to_end
 from .inverse_eigen import CouplingSet, reconstruct_couplings, verify_reconstruction
 from .spectra import (
     BASE_SEARCH_TOLERANCE,
@@ -79,11 +81,6 @@ class DesignedChain:
     def end_to_end(self) -> tuple[np.ndarray, np.ndarray]:
         """The clean chain's levels and end-to-end products, computed on first use."""
         return end_to_end(self.couplings)
-
-    @cached_property
-    def eigensystem(self) -> EigenSystem:
-        """The clean chain's eigensystem, solved on first use, for the tables that read eigenvectors."""
-        return diagonalize(self.couplings)
 
 
 def spectrum_stage(

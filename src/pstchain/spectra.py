@@ -162,13 +162,13 @@ def generate_spectrum(spec: SpectrumSpec) -> Spectrum:
     return Spectrum(values)
 
 
-def pst_time(spectrum: Spectrum, tolerance: float = GAP_ODDNESS_RTOL) -> PstTiming:
+def pst_time(spectrum: Spectrum) -> PstTiming:
     """Find the largest base making every gap an odd multiple of it.
 
     Any admissible base divides the smallest gap by an odd integer, so the
     search enumerates odd divisors of the smallest gap in increasing order
     (decreasing base) and returns the first one for which every gap ratio is
-    an odd integer within `tolerance` (relative).  Transfer then recurs at
+    an odd integer within GAP_ODDNESS_RTOL (relative).  Transfer then recurs at
     all odd multiples of the returned t_pst.
 
     The divisors are tested in blocks of _SCAN_BLOCK, and the scan stops at
@@ -185,7 +185,7 @@ def pst_time(spectrum: Spectrum, tolerance: float = GAP_ODDNESS_RTOL) -> PstTimi
         with np.errstate(over="ignore", invalid="ignore"):
             ratios = gaps[None, :] * (block[:, None] / g_min)
             nearest_odd = 2.0 * np.floor(ratios / 2.0) + 1.0
-            admissible = np.abs(ratios - nearest_odd) <= tolerance * ratios
+            admissible = np.abs(ratios - nearest_odd) <= GAP_ODDNESS_RTOL * ratios
         rows = np.nonzero(admissible.all(axis=1))[0]
         if rows.size:
             best = int(rows[0])
@@ -195,7 +195,7 @@ def pst_time(spectrum: Spectrum, tolerance: float = GAP_ODDNESS_RTOL) -> PstTimi
             )
     raise NotCommensurateError(
         "gap ratios are not ratios of odd integers within tolerance "
-        f"{tolerance:g}; the spectrum does not support PST"
+        f"{GAP_ODDNESS_RTOL:g}; the spectrum does not support PST"
     )
 
 

@@ -28,11 +28,12 @@ from pstchain.analysis import (
     window_width,
 )
 from pstchain.disorder import DisorderModel, echo_decay, perturb_couplings, run_ensemble
-from pstchain.dynamics import averaged_fidelity, end_to_end, transfer_amplitude
+from pstchain.dynamics import averaged_fidelity, end_to_end
 from pstchain.inverse_eigen import CouplingSet, reconstruct_couplings, verify_reconstruction
 from pstchain.pipeline import STANDARD_FAMILIES
 
 from conftest import SEED
+from oracles import transfer_amplitude
 
 N = 31
 NAV = 100

@@ -18,17 +18,13 @@ from pstchain.analysis import (
 )
 from pstchain.cli import window_table
 from pstchain.disorder import DisorderModel, perturb_couplings, run_ensemble
-from pstchain.dynamics import (
-    averaged_fidelity,
-    diagonalize,
-    end_to_end,
-    transfer_amplitude,
-)
+from pstchain.dynamics import averaged_fidelity, diagonalize, end_to_end
 from pstchain.errors import NoEchoError, NoWindowError
 from pstchain.inverse_eigen import CouplingSet
 from pstchain.pipeline import STANDARD_FAMILIES, design_standard
 
 from conftest import SEED
+from oracles import transfer_amplitude
 
 
 class TestSiteProbabilities:

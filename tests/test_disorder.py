@@ -13,13 +13,14 @@ from pstchain.disorder import (
     realizations,
     run_ensemble,
 )
-from pstchain.dynamics import chain_spectrum, diagonalize, end_to_end, fidelity_trace, transfer_amplitude, averaged_fidelity
+from pstchain.dynamics import chain_spectrum, diagonalize, end_to_end, fidelity_trace, averaged_fidelity
 from pstchain.errors import NotCommensurateError
 from pstchain.inverse_eigen import CouplingSet
 from pstchain.pipeline import STANDARD_FAMILIES
 from pstchain.spectra import pst_time
 
 from conftest import SEED
+from oracles import end_products, transfer_amplitude
 
 
 def model(eps=0.01, nav=10, seed=SEED):
@@ -108,7 +109,7 @@ class TestRunEnsemble:
         for r in range(12):
             # the full eigensystem, independent of the kernel's product identity
             eig = diagonalize(perturb_couplings(chain.couplings, m, r))
-            transfer = (eig.eigenvalues, eig.end_to_end_products)
+            transfer = (eig.eigenvalues, end_products(eig))
             samples.append([
                 averaged_fidelity(abs(transfer_amplitude(transfer, t))) for t in times
             ])
@@ -131,7 +132,7 @@ class TestRunEnsemble:
         samples = []
         for r in range(6):
             eig = diagonalize(perturb_couplings(base, m, r))
-            transfer = (eig.eigenvalues, eig.end_to_end_products)
+            transfer = (eig.eigenvalues, end_products(eig))
             amp = np.array([abs(transfer_amplitude(transfer, t)) for t in times])
             trace = fidelity_trace(end_to_end(perturb_couplings(base, m, r)), 0.0, 60.0, 37)
             np.testing.assert_allclose(trace.amplitude_abs, amp, rtol=0, atol=1e-14)
@@ -168,6 +169,28 @@ class TestRunEnsemble:
         np.testing.assert_array_equal(a.mean_fidelity, b.mean_fidelity)
         np.testing.assert_array_equal(a.std_error, b.std_error)
 
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(
+        nav=st.integers(1, 200),
+        fractions=st.lists(st.floats(0.0, 2.0), min_size=2, max_size=6),
+        data=st.data(),
+    )
+    def test_statistics_do_not_depend_on_the_grid(self, chains31, nav, fractions, data):
+        # each time's mean and standard error equal those of the grid's parts
+        # on either side of any cut, and of a run at that time alone
+        chain = chains31["quadratic"]
+        m = model(eps=0.04, nav=nav)
+        times = np.array(fractions) * chain.t_pst
+        cut = data.draw(st.integers(1, times.size - 1), label="cut")
+        pick = data.draw(st.integers(0, times.size - 1), label="pick")
+        whole = run_ensemble(chain.couplings, m, times)
+        parts = [run_ensemble(chain.couplings, m, part) for part in (times[:cut], times[cut:])]
+        alone = run_ensemble(chain.couplings, m, times[pick : pick + 1])
+        for field in ("mean_fidelity", "std_error"):
+            split = np.concatenate([getattr(part, field) for part in parts])
+            assert getattr(whole, field).tolist() == split.tolist()
+            assert getattr(whole, field)[pick] == getattr(alone, field)[0]
+
     def test_single_realization_zero_stderr(self, chains31):
         chain = chains31["linear"]
         res = run_ensemble(chain.couplings, model(eps=0.02, nav=1), [chain.t_pst])
@@ -194,10 +217,10 @@ class TestEchoDecay:
         m = model(eps=0.04, nav=20)
         echoes = echo_decay(chain.couplings, m, 3)
         direct = run_ensemble(chain.couplings, m, [echoes.times[0]])
-        # same seeds, times and samples; numpy reduces axis 0 of an (R, 3)
-        # array in a different order from an (R, 1) one, so the last bits may differ
-        assert echoes.mean_fidelity[0] == pytest.approx(direct.mean_fidelity[0], abs=1e-14)
-        assert echoes.std_error[0] == pytest.approx(direct.std_error[0], abs=1e-14)
+        # same seeds, time and samples, and each time's samples are reduced
+        # by themselves, so the other two echoes cannot change a bit
+        assert echoes.mean_fidelity[0] == direct.mean_fidelity[0]
+        assert echoes.std_error[0] == direct.std_error[0]
 
     def test_quadratic_outlasts_linear(self, chains31):
         m = model(eps=0.05, nav=60)

@@ -3,7 +3,7 @@
 The products are meant to be bitwise reproducible within a version, so any
 change to a product byte shows up here as a changed sha256.  The small run
 (N = 9) is fast; the second is the production size (N = 31, 100
-realizations, about a second).  The subcommand
+realizations, about a second), run once for this module.  The subcommand
 runs set the header fields that `reproduce` leaves at their defaults:
 amplitude, search tolerance, no_adjust, normalize, grids and disorder.  A
 change that alters bytes on purpose updates these pins and records in
@@ -16,6 +16,8 @@ import hashlib
 import pytest
 
 from pstchain.cli import EXIT_OK, main
+from pstchain.pipeline import STANDARD_FAMILIES
+from pstchain.tableio import read_table
 
 PINNED_SHA256 = {
     "chain_linear.csv": "cc11e6a07b429e966f60b8710e9d6b7de89bb1bb9f5a05ec804bd338a8a24ea4",
@@ -71,16 +73,16 @@ PINNED_SHA256_N31 = {
     "chain_quadratic_boundary.csv": "b5e3fb8048fc091a1e76b7f0d6c1cba7b0475af4728f5572eea0e11deddcc06f",
     "chain_sqrt_boundary.csv": "4ca94479cac1a11bcfa6770f5f4b11c0b92b482b7440f922906efb8181805869",
     "chain_sqrt_center.csv": "b9def8667e74c01dc66892caa0d3fe4f382f2cd305e2bec4d6240fe58e8dde0f",
-    "echoes_linear.csv": "5f4fc5900c2da33685d950ada80f0d57ebbb08e4ed630d8628cc40d463310655",
-    "echoes_quadratic.csv": "a3e992fd194238764ab76f954903309088ffa16463879aa79430aaff70cfdb29",
-    "echoes_quadratic_boundary.csv": "d19704f05d4ede787c564cb8bd1686eb7bdecc49554d0b1bafdcea7cbf98d2fd",
-    "echoes_sqrt_boundary.csv": "eff29fb1cc74919628117d54d849b4ae3fa4d19ca98eb849c36f158709aaffc3",
-    "echoes_sqrt_center.csv": "b459324d2cea685bb1e39333ba3a23f257a64c361f937065c6cbd2088b708bc5",
-    "ensemble_trace_linear.csv": "4c6ff056cb4ecf22fc1d7916ae7a32d1866d73cb24f14418cc564d9d6ee979e3",
-    "ensemble_trace_quadratic.csv": "ee602806c9da274f28aa946679b9213bd7395d2b4a615bbaf3dd526ff59494f2",
-    "ensemble_trace_quadratic_boundary.csv": "053b639d7dd62f1b82dc490963fcf88c7a4f687309554fff784d9748a16734a8",
-    "ensemble_trace_sqrt_boundary.csv": "24ddf8bc5058db22cecc087dc46f324524b4402408298683b8e1dbfd6eea3f4d",
-    "ensemble_trace_sqrt_center.csv": "07cd75a4476c16794752f4bb083ea3f50763dc1183c58073ea9ccaf0d626adb0",
+    "echoes_linear.csv": "b6a270b0bf321bd63092f1cd0428e43f4ae72db1cc45e140c59ceb364e493767",
+    "echoes_quadratic.csv": "ed4f277cd5e4a1b62eb2f718a9b734f3691ba987d0c91c99b7aba9400462afec",
+    "echoes_quadratic_boundary.csv": "02ec55a92d0f6a3808141bd9091f929d80d6e7fcc9fca5059256afaf4e7d2be6",
+    "echoes_sqrt_boundary.csv": "9a4db33a5ca15d4bf87ba6d07c4452f445dd56e6e44179b721840ef04f2f794e",
+    "echoes_sqrt_center.csv": "8a9fe5afae54c2ca75d7a02ace603e5f706c503134c0e3a49064674c0a5e606f",
+    "ensemble_trace_linear.csv": "d4adf68b4fdb056960abf467f181223d6c83edf51e9b056a5079a51a00d6fe1e",
+    "ensemble_trace_quadratic.csv": "86e67a6dbf2b0f21bd9bd0fed183d5978cc8d8af26e07d62b02780c4b421e2a5",
+    "ensemble_trace_quadratic_boundary.csv": "0397937787ccf568272d3122137f4a6a7a2dd4212ccad480f2c0fd19c5895abb",
+    "ensemble_trace_sqrt_boundary.csv": "e518a873cb1b6518b8c004f8bcae5872c32cf2536e96df9590c74b39cbf26ebf",
+    "ensemble_trace_sqrt_center.csv": "0b42a73139393e3698005dda1c06fc1785a0cc62bc5df90d353b79377f32816e",
     "level_shifts_linear.csv": "be1f44022125bcc75a32b8b537866c251e1142769221c90cbd4834d123c8e6a3",
     "level_shifts_quadratic.csv": "1f1e457a8da7f9428dbce19b3d2f9f7eadf6bd39127ccaa16afc93d5b00a494b",
     "level_shifts_quadratic_boundary.csv": "4d10da057cb8241510da644ab9d740b165a202d33f512e73b3ec657f02abe32f",
@@ -125,7 +127,7 @@ SUBCOMMAND_SHA256 = {
     "simulate --family center --alpha 2 --n 11 --periods 1.5 --points-per-period 300":
         "b86094bf9e17cd17b948717bb00ac3dc61eabd6c7a6ee088f224b564b07beb20",
     "ensemble --family center --alpha 2 --n 11 --eps 0.02 --nav 10 --seed 3":
-        "db1a7c215ba88f3b39ec4a1316163b016c680d803f5584e8994ed3a228eb36ec",
+        "9dc5d01ed2ec3320c72a148e87b218b9802691e543200dbf7b1ec2480a5f080f",
     "ensemble --family center --alpha 2 --n 11 --eps 0.02 --nav 10 --seed 3 --echoes 4":
         "9ee852172bf7cb18906c14c491986b87072d5da78b42cec007c99c15f71cf3dd",
     "ensemble --family center --alpha 2 --n 11 --eps 0.02 --nav 10 --seed 3 --sweep 0.05,0.1":
@@ -139,24 +141,47 @@ SUBCOMMAND_SHA256 = {
 }
 
 
-def _check_reproduce(tmp_path, argv, pins):
-    code = main(["reproduce", "--outdir", str(tmp_path), *argv])
-    assert code == EXIT_OK
+def _reproduce(outdir, argv):
+    assert main(["reproduce", "--outdir", str(outdir), *argv]) == EXIT_OK
+    return outdir
+
+
+def _check_pins(outdir, pins):
     digests = {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in tmp_path.iterdir()
+        for path in outdir.iterdir()
     }
     changed = sorted(name for name in pins if digests.get(name) != pins[name])
     assert sorted(digests) == sorted(pins)
     assert changed == []
 
 
+@pytest.fixture(scope="module")
+def production_products(tmp_path_factory):
+    return _reproduce(tmp_path_factory.mktemp("n31"), ["--n", "31", "--nav", "100", "--seed", "7"])
+
+
+def _column(path, name):
+    _, columns, data = read_table(path)
+    return data[:, columns.index(name)]
+
+
 def test_reproduce_bytes_match_pins(tmp_path):
-    _check_reproduce(tmp_path, ["--n", "9", "--nav", "5", "--seed", "3"], PINNED_SHA256)
+    _check_pins(_reproduce(tmp_path, ["--n", "9", "--nav", "5", "--seed", "3"]), PINNED_SHA256)
 
 
-def test_production_size_reproduce_bytes_match_pins(tmp_path):
-    _check_reproduce(tmp_path, ["--n", "31", "--nav", "100", "--seed", "7"], PINNED_SHA256_N31)
+def test_production_size_reproduce_bytes_match_pins(production_products):
+    _check_pins(production_products, PINNED_SHA256_N31)
+
+
+@pytest.mark.parametrize("name", STANDARD_FAMILIES)
+def test_production_size_sweep_starts_at_the_first_echo(production_products, name):
+    # the sweep's first strength is the echoes' model at the same t_pst, so
+    # its row is their first echo, bit for bit (repr round-trips every float)
+    sweep, echoes = (production_products / f"{stage}_{name}.csv" for stage in ("strength_sweep", "echoes"))
+    assert _column(sweep, "epsilon")[0] == 0.01
+    for field in ("mean_fidelity", "std_error"):
+        assert _column(sweep, field)[0] == _column(echoes, field)[0]
 
 
 @pytest.mark.parametrize("command", SUBCOMMAND_SHA256)
