@@ -27,7 +27,6 @@ from .dynamics import (
     EigenSystem,
     FidelityTrace,
     averaged_fidelity,
-    chain_spectrum,
     diagonalize,
     end_to_end,
     fidelity_trace,

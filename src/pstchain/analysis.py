@@ -188,11 +188,11 @@ def detect_first_maximum(
     """Time and fidelity of the first local maximum of F on (0, t_end] above min_fidelity.
 
     The earliest constructive arrival, only for some chains at t_pst.  Walks
-    from t = 0 in the steps h of `_walk`.  As |f_N''| <= M2, a maximum above
-    a_floor (|f_N| at min_fidelity) lies beside a sample above both neighbours
-    and a_floor - M2 (h / 2)^2 / 2 = a_floor - (WINDOW_STEP pi / 2)^2 / 2;
-    `_first_fall` solves each such bracket on d|f_N|/dt.  A maximum and
-    minimum closer together than h are not seen.
+    from t = 0 in the steps h of `_walk`; d|f_N|/dt falls from >= 0 to < 0
+    between the two samples around each maximum, the last step's too.  As
+    |f_N''| <= M2, one of them is above a_floor - M2 (h / 2)^2 / 2 for a
+    maximum above a_floor (|f_N| at min_fidelity); `_first_fall` solves those
+    brackets on d|f_N|/dt.  A maximum and minimum closer than h are not seen.
     """
     if not 0.5 < min_fidelity < 1.0:
         raise ValueError("min_fidelity must lie in (0.5, 1)")
@@ -202,22 +202,22 @@ def detect_first_maximum(
     lowest = np.sqrt(6.0 * min_fidelity - 2.0) - 1.0 - 0.5 * (0.5 * WINDOW_STEP * np.pi) ** 2
     slope = lambda t: _transfer_abs(transfer, t, slope=True)  # noqa: E731
     for times, amp in _walk(transfer, 0.0, 1, t_end):
-        mid = amp[1:-1]
-        for i in np.flatnonzero((amp[:-2] < mid) & (mid >= amp[2:]) & (mid >= lowest)):
-            t_peak = _first_fall(slope, np.linspace(times[i], times[i + 2], 65), t_end)
-            if t_peak is not None:
-                f_peak = averaged_fidelity(_transfer_abs(transfer, np.array([t_peak]))[0])
-                if f_peak > min_fidelity:
-                    return WindowMetrics(first_max_time=t_peak, first_max_fidelity=f_peak)
+        rate = slope(times)
+        falls = (rate[:-1] >= 0) & (rate[1:] < 0) & (np.maximum(amp[:-1], amp[1:]) >= lowest)
+        for i in np.flatnonzero(falls):
+            t_peak = _first_fall(slope, times[i : i + 2], t_end)
+            f_peak = averaged_fidelity(_transfer_abs(transfer, np.array([t_peak]))[0])
+            if f_peak > min_fidelity:
+                return WindowMetrics(first_max_time=t_peak, first_max_fidelity=f_peak)
     raise NoEchoError(f"no local maximum above {min_fidelity} found in (0, {t_end:g}]")
 
 
 def _walk(transfer, start: float, direction: int, span: float):
-    """Blocks of start + j h up to span from start in `direction`, with |f_N|; blocks share two samples."""
+    """Blocks of start + j h up to span from start in `direction`, with |f_N|; blocks share one sample."""
     levels, products = transfer
     step = direction * WINDOW_STEP * np.pi / np.sqrt(np.abs(products) @ levels**2)  # h; see WINDOW_STEP
     n_steps = int(np.ceil(span / abs(step)))
-    for first in range(0, n_steps, PHASE_BLOCK - 2):
+    for first in range(0, n_steps, PHASE_BLOCK - 1):
         times = start + step * np.arange(first, min(first + PHASE_BLOCK, n_steps + 1))
         np.clip(times, start - span, start + span, out=times)
         yield times, _transfer_abs(transfer, times)
@@ -226,17 +226,15 @@ def _walk(transfer, start: float, direction: int, span: float):
 def _first_fall(func, times: np.ndarray, t_ref: float, origin: float = 0.0):
     """Offset from `origin` of the first fall of func on `times` from >= 0 to below 0.
 
-    Its bracket is split into 64 parts at a time until it is no wider than
-    4 u t_ref, no less than the spacing of the doubles up to 2 t_ref (so every
-    split narrows a wider one), and the fall interpolated linearly within
-    it; None if func never falls on `times`.
+    `times` must hold one, as the walk brackets passed in do.  It is split
+    into 64 parts at a time until no wider than 4 u t_ref, no less than the
+    spacing of the doubles up to 2 t_ref (so every split narrows a wider
+    one), and the fall interpolated linearly within it.
     """
     tol = 2.0 * np.finfo(float).eps * t_ref
     while True:
         values = func(times)
         falls = np.flatnonzero((values[:-1] >= 0) & (values[1:] < 0))
-        if falls.size == 0:
-            return None
         (t0, t1), (v0, v1) = times[falls[0] : falls[0] + 2], values[falls[0] : falls[0] + 2]
         if abs(t1 - t0) <= tol:
             return float((t0 - origin) + (t1 - t0) * v0 / (v0 - v1))

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _transfer_abs, averaged_fidelity, chain_spectrum, end_to_end
+from .dynamics import _transfer_abs, averaged_fidelity, end_to_end
 from .dynamics import diagonalize  # noqa: F401  perfbench's self-test reads it from here
 from .inverse_eigen import CouplingSet
-from .spectra import freeze, pst_time
+from .spectra import Spectrum, freeze, pst_time
 
 #: Identifier of the stream-derivation scheme recorded in all outputs:
 #: realization r uses Generator(PCG64(SeedSequence(base_seed, spawn_key=(r,)))).
@@ -144,7 +144,7 @@ def echo_decay(
     """
     if n_echoes < 1:
         raise ValueError("need at least one echo")
-    timing = pst_time(chain_spectrum(couplings))
+    timing = pst_time(Spectrum(couplings.eigenvalues()))
     echo_times = (2.0 * np.arange(1, n_echoes + 1) - 1.0) * timing.t_pst
     return run_ensemble(couplings, model, echo_times)
 

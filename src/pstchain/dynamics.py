@@ -7,10 +7,10 @@ commensurate chains are exactly periodic instead of drifting the way a step
 integrator would.
 
 End-to-end transfer needs only the levels omega_k and the products
-a_{k,1} a_{k,N}, which `end_to_end` takes from the eigenvalues alone, and
-`_transfer_abs` is the one evaluator of |f_N(t)| built on them.  The full
-eigensystem (`diagonalize`) is solved only for the localization table, the
-one product that reads eigenvectors.
+a_{k,1} a_{k,N}, which `end_to_end` takes from the exactly mirrored levels
+of `CouplingSet.eigenvalues` alone, and `_transfer_abs` is the one evaluator
+of |f_N(t)| built on them.  The full eigensystem (`diagonalize`) is solved
+only for the localization table, the one product that reads eigenvectors.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from .errors import ProductIdentityError
 from .inverse_eigen import CouplingSet
-from .spectra import Spectrum, freeze
+from .spectra import freeze
 
 #: Orthonormality requirement on eigenvector matrices, max |A A^T - I|, and on
 #: end-to-end products, |sum_k P_k| and sum_k |P_k| - 1.
@@ -99,13 +99,13 @@ def end_to_end(couplings: CouplingSet) -> tuple[np.ndarray, np.ndarray]:
     so no eigenvector is solved.  The zero-field chain is bipartite: its
     levels are 0 (odd N) and +-sigma_k, and the two levels of a pair carry
     equal (odd N) or opposite (even N) products.  So the identity is
-    evaluated in the log domain for the m = N // 2 positive levels of the
-    mirrored solver output only, on one m x m array whose row k holds
-    |sigma_k - sigma_j| (sigma_k + sigma_j) off the diagonal and, on it,
-    2 sigma_k^2 (odd N) or 2 sigma_k (even N): the factors of the partner
-    -sigma_k and of level 0.  The levels are first scaled by a power of two,
-    which is exact and keeps those squares in range.  Level 0 carries
-    P_0 = prod_i J_i / prod_j (-sigma_j^2).
+    evaluated in the log domain for the m = N // 2 positive levels only
+    (`CouplingSet.eigenvalues` returns them exactly mirrored), on one m x m
+    array whose row k holds |sigma_k - sigma_j| (sigma_k + sigma_j) off the
+    diagonal and, on it, 2 sigma_k^2 (odd N) or 2 sigma_k (even N): the
+    factors of the partner -sigma_k and of level 0.  The levels are first
+    scaled by a power of two, which is exact and keeps those squares in
+    range.  Level 0 carries P_0 = prod_i J_i / prod_j (-sigma_j^2).
 
     Before the logs, the gaps between positive levels give each product's
     first-order relative error e_k = 2 u sigma_max sum_j 1 / |sigma_k - sigma_j|
@@ -130,11 +130,10 @@ def end_to_end(couplings: CouplingSet) -> tuple[np.ndarray, np.ndarray]:
     and exactly mirrored: levels[::-1] == -levels and
     products[::-1] == (-1)^(N-1) products.
     """
-    raw = couplings.eigenvalues()
-    n = raw.size
-    if not np.all(np.diff(raw) > 0):
+    levels = couplings.eigenvalues()
+    n = levels.size
+    if not np.all(np.diff(levels) > 0):
         raise ProductIdentityError(f"computed levels of the {n}-site chain coincide")
-    levels = _mirrored(raw)
     m, odd = n // 2, n % 2
     scale = np.ldexp(1.0, -np.frexp(levels[-1])[1])
     sigma = levels[n - m :] * scale  # ascending, largest in [0.5, 1)
@@ -172,20 +171,6 @@ def end_to_end(couplings: CouplingSet) -> tuple[np.ndarray, np.ndarray]:
     levels.setflags(write=False)
     products.setflags(write=False)
     return levels, products
-
-
-def _mirrored(levels: np.ndarray) -> np.ndarray:
-    """Solver levels of a zero-field chain, symmetrized to be exactly antisymmetric.
-
-    The matrix is bipartite, so its true spectrum is exactly symmetric about
-    zero; this removes the last-ulp noise of the solver output.
-    """
-    return 0.5 * (levels - levels[::-1])
-
-
-def chain_spectrum(couplings: CouplingSet) -> Spectrum:
-    """Eigenvalues of a zero-field chain as an exactly antisymmetric Spectrum."""
-    return Spectrum(_mirrored(couplings.eigenvalues()))
 
 
 def averaged_fidelity(amplitude_abs):

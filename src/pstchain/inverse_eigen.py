@@ -8,6 +8,9 @@ symmetric sector's squared centre components as products of ratios in
 (0, 1), and a Lanczos three-term recursion on its m + 1 levels yields the
 couplings from the centre outward (Hochstadt, Arch. Math. 18, 201 (1967);
 de Boor & Golub, Linear Algebra Appl. 21, 245 (1978)).
+
+`CouplingSet.eigenvalues` is the one level solve of a chain; every reader
+takes its exactly mirrored levels as they come.
 """
 
 from __future__ import annotations
@@ -53,14 +56,17 @@ class CouplingSet:
         return float(self.couplings.max())
 
     def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues of the chain's zero-field tridiagonal matrix.
+        """Ascending eigenvalues of the chain's zero-field tridiagonal matrix, exactly mirrored.
 
-        NumericalError if the solver does not converge.
+        The chain is bipartite, so the solver's levels are symmetrized once, as
+        0.5 * (raw - raw[::-1]): levels == -levels[::-1] exactly, with an exact 0
+        at the centre for odd N.  NumericalError if the solver does not converge.
         """
         try:
-            return eigvalsh_tridiagonal(np.zeros(self.n_sites), self.couplings)
+            raw = eigvalsh_tridiagonal(np.zeros(self.n_sites), self.couplings)
         except LinAlgError as exc:
             raise NumericalError(f"eigenvalues of the {self.n_sites}-site chain: {exc}") from None
+        return 0.5 * (raw - raw[::-1])
 
     def scaled(self, factor: float) -> "CouplingSet":
         if not factor > 0:
@@ -133,7 +139,8 @@ def verify_reconstruction(couplings: CouplingSet, spectrum: Spectrum) -> float:
     """Max relative mismatch between the chain's eigenvalues and the target.
 
     Forward-diagonalizes the coupling set (independent of the reconstruction
-    path) and returns max_k |omega_k(chain) - omega_k(target)| / omega_max.
+    path) and returns max_k |omega_k(chain) - omega_k(target)| / omega_max
+    over the chain's exactly mirrored levels.
     """
     if couplings.n_sites != spectrum.n_sites:
         raise ValueError("coupling set and spectrum sizes are inconsistent")

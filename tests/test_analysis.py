@@ -84,6 +84,16 @@ class TestLevelShiftStats:
         stats = level_shift_stats(chain.couplings, model)
         assert stats.std[15] < 1e-12 * stats.normalization
 
+    @pytest.mark.parametrize("name", sorted(STANDARD_FAMILIES))
+    def test_zero_mode_and_mirror_are_exact(self, chains31, name):
+        # clean and perturbed levels are exactly mirrored, so the protected zero
+        # mode reads 0, not solver noise, and the profiles mirror bit for bit
+        model = DisorderModel(epsilon=0.05, n_realizations=100, base_seed=SEED)
+        stats = level_shift_stats(chains31[name].couplings, model)
+        assert stats.omega_unperturbed[15] == stats.std[15] == stats.mean_shift[15] == 0.0
+        np.testing.assert_array_equal(stats.std, stats.std[::-1])
+        np.testing.assert_array_equal(stats.mean_shift, -stats.mean_shift[::-1])
+
     def test_profile_symmetric(self, chains31):
         chain = chains31["quadratic"]
         model = DisorderModel(epsilon=0.05, n_realizations=100, base_seed=SEED)
@@ -108,11 +118,14 @@ class TestLevelShiftStats:
         model = DisorderModel(epsilon=0.05, n_realizations=40, base_seed=SEED)
         stats = level_shift_stats(chain.couplings, model)
         zeros = np.zeros(31)
-        omega0 = eigvalsh_tridiagonal(zeros, chain.couplings.couplings)
+
+        def mirrored(couplings):
+            raw = eigvalsh_tridiagonal(zeros, couplings.couplings)
+            return 0.5 * (raw - raw[::-1])
+
+        omega0 = mirrored(chain.couplings)
         deviations = np.array([
-            eigvalsh_tridiagonal(zeros, perturb_couplings(chain.couplings, model, r).couplings)
-            - omega0
-            for r in range(40)
+            mirrored(perturb_couplings(chain.couplings, model, r)) - omega0 for r in range(40)
         ])
         np.testing.assert_array_equal(stats.omega_unperturbed, omega0)
         np.testing.assert_array_equal(stats.std, np.sqrt(np.mean(deviations**2, axis=0)))

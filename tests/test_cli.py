@@ -318,6 +318,26 @@ class TestAnalyzeCommand:
         assert t_first == pytest.approx(t_pst, rel=1e-3)
         assert f_first == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("n_sites,first_max_time", [
+        (3, 2.2214414690791826),
+        (11, 245.3159449274392),
+        (31, 5803.857547255099),
+        (101, 202150.41174255146),
+    ])
+    def test_first_maximum_in_the_walks_last_step(self, tmp_path, n_sites, first_max_time):
+        # the first maximum is the transfer peak at t_pst, in the walk's last step,
+        # clipped to t_end = 1.05 t_pst, with no sample after it; the reference
+        # times come from a walk that sampled past t_end, and both solve to 4 u t_end
+        code, out = run(tmp_path, "w.csv", [
+            "analyze", "--window", "--family", "center", "--alpha", "3", "--n", str(n_sites),
+        ])
+        assert code == EXIT_OK
+        _, columns, data = read_table(out)
+        t_end = 1.05 * data[0, columns.index("t_pst")]
+        tol = 2.0 * np.finfo(float).eps * t_end
+        assert abs(data[0, columns.index("first_max_time")] - first_max_time) <= tol
+        assert data[0, columns.index("first_max_fidelity")] >= 1.0 - 5e-14
+
     def test_wide_window_is_not_clipped(self, tmp_path):
         # the 0.8-window is 0.21 t_pst wide, wider than the first fine trace;
         # 5.0203 comes from a 200001-point trace over [0.5, 1.5] t_pst
@@ -460,6 +480,13 @@ class TestReproduceCommand:
             meta, columns, data = read_table(f)
             assert meta["tool"] == "pstchain"
             assert len(columns) > 0 and data.size > 0
+
+    def test_three_site_chains(self, tmp_path):
+        # every family's 3-site chain has its first maximum at t_pst, in the
+        # first-maximum walk's last step
+        outdir = tmp_path / "products"
+        assert main(["reproduce", "--outdir", str(outdir), "--n", "3", "--nav", "2"]) == EXIT_OK
+        assert len(list(outdir.iterdir())) == 45
 
     def test_numerical_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         def no_window(*args):

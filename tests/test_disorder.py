@@ -13,11 +13,11 @@ from pstchain.disorder import (
     realizations,
     run_ensemble,
 )
-from pstchain.dynamics import chain_spectrum, diagonalize, end_to_end, fidelity_trace, averaged_fidelity
+from pstchain.dynamics import diagonalize, end_to_end, fidelity_trace, averaged_fidelity
 from pstchain.errors import NotCommensurateError
 from pstchain.inverse_eigen import CouplingSet
 from pstchain.pipeline import STANDARD_FAMILIES
-from pstchain.spectra import pst_time
+from pstchain.spectra import Spectrum, pst_time
 
 from conftest import SEED
 from oracles import end_products, transfer_amplitude
@@ -262,7 +262,7 @@ class TestFidelityVsStrength:
     )
     def test_rows_are_ensembles_at_the_clean_t_pst(self, chains31, name, strengths, nav, seed):
         couplings = chains31[name].couplings
-        t_pst = pst_time(chain_spectrum(couplings)).t_pst
+        t_pst = pst_time(Spectrum(couplings.eigenvalues())).t_pst
         rows = fidelity_vs_strength(couplings, strengths, nav, seed)
         for eps, row in zip(strengths, rows):
             direct = run_ensemble(couplings, model(eps=eps, nav=nav, seed=seed), [t_pst])

@@ -14,7 +14,6 @@ from pstchain.dynamics import (
     PHASE_BLOCK,
     EigenSystem,
     averaged_fidelity,
-    chain_spectrum,
     diagonalize,
     end_to_end,
     fidelity_trace,
@@ -22,7 +21,7 @@ from pstchain.dynamics import (
 from pstchain.errors import ProductIdentityError
 from pstchain.inverse_eigen import CouplingSet
 from pstchain.pipeline import STANDARD_FAMILIES, design_standard
-from pstchain.spectra import SpectrumSpec, generate_spectrum
+from pstchain.spectra import Spectrum, SpectrumSpec, generate_spectrum
 
 from conftest import SEED
 from oracles import end_products, transfer_amplitude
@@ -123,8 +122,7 @@ def _perturbed(couplings, eps, seed):
 def _assert_matches_eigenvectors(couplings):
     levels, products = end_to_end(couplings)
     eig = diagonalize(couplings)
-    solved = couplings.eigenvalues()
-    np.testing.assert_array_equal(levels, 0.5 * (solved - solved[::-1]))
+    np.testing.assert_array_equal(levels, couplings.eigenvalues())
     np.testing.assert_array_equal(products[::-1], (-1) ** (levels.size - 1) * products)
     np.testing.assert_allclose(products, end_products(eig), rtol=0, atol=1e-12)
     h = np.diag(couplings.couplings, 1)
@@ -365,12 +363,12 @@ class TestMirrorSymmetry:
 
 class TestChainSpectrum:
     def test_exact_antisymmetry_and_zero(self, chains31):
-        s = chain_spectrum(chains31["quadratic"].couplings)
+        s = Spectrum(chains31["quadratic"].couplings.eigenvalues())
         assert s.values[15] == 0.0
         np.testing.assert_array_equal(s.values, -s.values[::-1])
 
     def test_matches_diagonalize(self, chains31):
         chain = chains31["linear"]
-        s = chain_spectrum(chain.couplings)
+        s = Spectrum(chain.couplings.eigenvalues())
         eig = diagonalize(chain.couplings)
         np.testing.assert_allclose(s.values, eig.eigenvalues, atol=1e-12)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from pstchain.errors import ReconstructionUnstableError
@@ -218,3 +220,28 @@ class TestCouplingSet:
         J = CouplingSet([1.0, 2.0]).scaled(0.5)
         np.testing.assert_array_equal(J.couplings, [0.5, 1.0])
         assert J.j_max == 1.0
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        n_sites=st.integers(2, 301),
+        linear=st.booleans(),
+        eps=st.floats(0.0, 0.9),
+        seed=st.integers(0, 2**63),
+    )
+    def test_eigenvalues_are_exactly_mirrored(self, n_sites, linear, eps, seed):
+        # uniform or closed-form linear couplings under disorder up to 90%, odd and even N
+        i = np.arange(1, n_sites, dtype=float)
+        base = np.sqrt(i * (n_sites - i)) if linear else np.ones(n_sites - 1)
+        couplings = base * (1.0 + np.random.default_rng(seed).uniform(-eps, eps, n_sites - 1))
+        levels = CouplingSet(couplings).eigenvalues()
+        np.testing.assert_array_equal(levels, -levels[::-1])
+        if n_sites % 2:
+            assert levels[n_sites // 2] == 0.0
+        # the symmetrization removes the symmetric part of the solver's error, which
+        # grows with N (up to about N u max|level| here), and never costs accuracy:
+        # bisection is the more accurate reference
+        u_scale = 0.5 * np.finfo(float).eps * np.abs(levels).max()
+        raw = eigvalsh_tridiagonal(np.zeros(n_sites), couplings)
+        bisection = eigvalsh_tridiagonal(np.zeros(n_sites), couplings, lapack_driver="stebz")
+        assert np.abs(levels - raw).max() <= 2 * n_sites * u_scale
+        assert np.abs(levels - bisection).max() <= np.abs(raw - bisection).max() + 2 * u_scale

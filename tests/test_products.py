@@ -20,11 +20,11 @@ from pstchain.pipeline import STANDARD_FAMILIES
 from pstchain.tableio import read_table
 
 PINNED_SHA256 = {
-    "chain_linear.csv": "cc11e6a07b429e966f60b8710e9d6b7de89bb1bb9f5a05ec804bd338a8a24ea4",
+    "chain_linear.csv": "641781ae4e2693df68da95bdcb7a55dede601877fc8e926167ad98e513ae4336",
     "chain_quadratic.csv": "710acc8ed7fbb3922244b2e2c7f114554d6a20cbc41806a63c52f003bc08fc94",
-    "chain_quadratic_boundary.csv": "9fb17696ebf9bed78a502f5531c0906a9efd36202707e17ac1f45a4c2b052779",
-    "chain_sqrt_boundary.csv": "bd4894df325b3e59d60d2526e577d8dd2e678d5385c2bedf6cd4a7d1d35b86ff",
-    "chain_sqrt_center.csv": "30b7af6795aa06af71924cae9edaa272f386a0a754fec0e4eb816983b3eb9adc",
+    "chain_quadratic_boundary.csv": "3ad951ad2ceedc114cec2e47901d76371d90c703d2f331f506db369378b8c16a",
+    "chain_sqrt_boundary.csv": "bf33908802d37a6f1db5573d0159ad817a52714efcf5ae2d2d165aa0b63c3089",
+    "chain_sqrt_center.csv": "0a99f557791a1f2fbaabff16ad6559df55a586905ea2c164e854396502e91120",
     "echoes_linear.csv": "f6d9bdc74bd43072658bc56fa24e51625b25b7388b4d89e1911654e88e8391f0",
     "echoes_quadratic.csv": "5789c86b6b23642fac09e86841caafb9729304c222411562ddad89aebe0e1527",
     "echoes_quadratic_boundary.csv": "27c79a8d52ca71f9bbfc2b98d5747847b8eb6bbc0c20b741198f3b1dde1ea973",
@@ -35,11 +35,11 @@ PINNED_SHA256 = {
     "ensemble_trace_quadratic_boundary.csv": "5b0842b0ca9f4641a2fb72db7636b78801f5ebffc9bd565542fccdf74b3aae8b",
     "ensemble_trace_sqrt_boundary.csv": "ae657b40f6ef92ee79096eccbad1056f04dcb642ce754ff94de73e4936847c5d",
     "ensemble_trace_sqrt_center.csv": "7557a23d50844fa9c06932c9f30bc01dafd051e9ef08b69d62485fb64f83fbd9",
-    "level_shifts_linear.csv": "17c0e8acc4eb18223bd2f5f1f69022269d0225aa9d702fc21224f8d9e6856b8f",
-    "level_shifts_quadratic.csv": "9c97505879fc45a8b38c8e6e27a81086e805fae293810865d726bd68da94e6b0",
-    "level_shifts_quadratic_boundary.csv": "cc77d4aefa49e99fc21c8ec0bc6eb7b2c08c84dd99b65f11f2ca4a16dc06c309",
-    "level_shifts_sqrt_boundary.csv": "81093f2b2e6b760878e80ce6019c293ee4baa641498a88306714a27ffc1fac60",
-    "level_shifts_sqrt_center.csv": "720e78409d20ad3d9dbe8d7d7294fc22383cd9123fbb90b8753e6b4b6bd09ec9",
+    "level_shifts_linear.csv": "5eeae8a1ce5cbe38efd3881ff493d0a8659942657675f36dc3c16efdb47211b4",
+    "level_shifts_quadratic.csv": "c8cca3b9fb8832be0a192327efe52069e36031eed2b3fa60b87932e63ac13317",
+    "level_shifts_quadratic_boundary.csv": "2c355428eddad84ac664477b26790dd9192fca2f1159959130f95c2f3bf44277",
+    "level_shifts_sqrt_boundary.csv": "8bd1e48823fcdaa58d56c518780c193b29c61c6044dc04902e34fbe7917a7fdb",
+    "level_shifts_sqrt_center.csv": "a98f2ba14307b47768abf1a00ded6eb1ac0bd8934c456a2b30296a3067e46b4e",
     "localization_linear.csv": "aef2ffd8b1b592266977f06b4999abd46add7c024680602a4d0489ebaa9b64e5",
     "localization_quadratic.csv": "cc9947590d56bbf8c8ff7990cc133724ff0a5b95494b8e3c935af13efb46df6d",
     "localization_quadratic_boundary.csv": "501bd8274bc37715319241932be73ab781ea7478d3ec3d3f393c23cf10b644e0",
@@ -68,11 +68,11 @@ PINNED_SHA256 = {
 }
 
 PINNED_SHA256_N31 = {
-    "chain_linear.csv": "fe5e1d642acf5c4d59d82592b29066f6b27b548cd8932b64f1a032978e93334e",
-    "chain_quadratic.csv": "179ef9804e16cc667c728e1c598d6748a89fac5b609605f232a915b3c61e468f",
-    "chain_quadratic_boundary.csv": "b5e3fb8048fc091a1e76b7f0d6c1cba7b0475af4728f5572eea0e11deddcc06f",
-    "chain_sqrt_boundary.csv": "4ca94479cac1a11bcfa6770f5f4b11c0b92b482b7440f922906efb8181805869",
-    "chain_sqrt_center.csv": "b9def8667e74c01dc66892caa0d3fe4f382f2cd305e2bec4d6240fe58e8dde0f",
+    "chain_linear.csv": "4a197c08e43956f60f81679170c48bdfedbe80d441c27fac57f157c1c807f573",
+    "chain_quadratic.csv": "713e309370105874dbefd0a20443c7df536b1c10db7f8efcfa0bed922e230a16",
+    "chain_quadratic_boundary.csv": "be4db3d5fc52f6878362a8aaefcb581d4027b5200447abae74762c0e24a6ef66",
+    "chain_sqrt_boundary.csv": "bbe711a876e01fc0f0e4c6b3803e7b224e27f10242afbe3ee8b0b1eb28e5abcb",
+    "chain_sqrt_center.csv": "8d6769f320b408c07ce2674eb87719bb862ce9241ceecb9b2c12a064bd1d194d",
     "echoes_linear.csv": "b6a270b0bf321bd63092f1cd0428e43f4ae72db1cc45e140c59ceb364e493767",
     "echoes_quadratic.csv": "ed4f277cd5e4a1b62eb2f718a9b734f3691ba987d0c91c99b7aba9400462afec",
     "echoes_quadratic_boundary.csv": "02ec55a92d0f6a3808141bd9091f929d80d6e7fcc9fca5059256afaf4e7d2be6",
@@ -83,11 +83,11 @@ PINNED_SHA256_N31 = {
     "ensemble_trace_quadratic_boundary.csv": "0397937787ccf568272d3122137f4a6a7a2dd4212ccad480f2c0fd19c5895abb",
     "ensemble_trace_sqrt_boundary.csv": "e518a873cb1b6518b8c004f8bcae5872c32cf2536e96df9590c74b39cbf26ebf",
     "ensemble_trace_sqrt_center.csv": "0b42a73139393e3698005dda1c06fc1785a0cc62bc5df90d353b79377f32816e",
-    "level_shifts_linear.csv": "be1f44022125bcc75a32b8b537866c251e1142769221c90cbd4834d123c8e6a3",
-    "level_shifts_quadratic.csv": "1f1e457a8da7f9428dbce19b3d2f9f7eadf6bd39127ccaa16afc93d5b00a494b",
-    "level_shifts_quadratic_boundary.csv": "4d10da057cb8241510da644ab9d740b165a202d33f512e73b3ec657f02abe32f",
-    "level_shifts_sqrt_boundary.csv": "59087ba7a85c0089b26e0cc2060fb635d5b9f452cdd109fde63c8af664d7040a",
-    "level_shifts_sqrt_center.csv": "769a90a454c9c84cf9eaae5c92f1a3f73e1b5d244a33f46d05c65c9817e83583",
+    "level_shifts_linear.csv": "81b73750c1c8dcd1f6bb2e20bac5f973588675d11ed712984719d82efebd53ac",
+    "level_shifts_quadratic.csv": "bab3224874156dc2a1adba814433d076b0e5e54613465cdd3ce656fbd5f5f91d",
+    "level_shifts_quadratic_boundary.csv": "266aea1044a73201e84c4a6947aa95c504d5b8e588724d8cadab7f574fdf4e9c",
+    "level_shifts_sqrt_boundary.csv": "5384cd2cadf20e9b5282d8f0b302ddf1bce5ce57d3eabef10ad596b78735403a",
+    "level_shifts_sqrt_center.csv": "2fbb212a9f09f94576eb6214ac6c51e2fc3936c4c630e84474b81c063b680ef5",
     "localization_linear.csv": "d88e1f84c925183f149d42be199778fdcfda01b9a063e63298e4fa88507de1c0",
     "localization_quadratic.csv": "e3f7d4a44c4c32c114df679cedf5891ffe823bb722d3a30a9fdb732fedd3267d",
     "localization_quadratic_boundary.csv": "a9d04b6cf7fba9751abab8f255b830c28c10a995e4efa590985f53dd1a5e6474",
@@ -110,8 +110,8 @@ PINNED_SHA256_N31 = {
     "trace_sqrt_center.csv": "947ab1725a11755f17133c9b80668b2ac3b63bf9c40e59176d4e1e40a951ab80",
     "window_linear.csv": "c518b23b926276f5d8b4e6ab477daa2248290376b954c8a2422a21b8157d8f7d",
     "window_quadratic.csv": "f0608924d3116c24c156d9b30d7dcbc994106737d1718b47287da4673bc4cea6",
-    "window_quadratic_boundary.csv": "422edc55c0d933692121829650854686d4a46c655a983449991425cd86a0d890",
-    "window_sqrt_boundary.csv": "7be268f3dae55c1138f003d341b49c786eba252a47931b0521a03e82cdf0d241",
+    "window_quadratic_boundary.csv": "e67fea81265332a09ebb0a7131972c2a692939e0b5cc9fd39d45676cd65132ec",
+    "window_sqrt_boundary.csv": "4527ea645bc22da9885962f8c54e9c9b1e70b2e7bb107d181610cbb1279b5998",
     "window_sqrt_center.csv": "6bd50398455d9c0bfc784729cff53188c1b911970e0cdae1e34d3d3c92b59f68",
 }
 
@@ -121,9 +121,9 @@ SUBCOMMAND_SHA256 = {
     "spectrum --family center --alpha 1 --n 15 --no-adjust":
         "af6ee60ada1bb818f8f11d0d69f3dd87238f3e74bd293f3d6f168f9667ce3ae5",
     "chain --family boundary --alpha 2 --n 15 --amplitude 2.5":
-        "672f3a209e2be43a56988d5644a31c2cbfc4165f287ae12eed8e4a09ee50b821",
+        "d6d07367a21089f1810358f8c88beebd63028a5e882356f9e66e6d340ae5e873",
     "chain --family boundary --alpha 0.5 --n 15 --no-normalize --base-search-tolerance 1e-3":
-        "b6778bdf4b9e4e1d755f41abf3b3a130f3e1f03a47aaba700b5e32f598577dbd",
+        "3b17b5163b10a3398b65faa53601308d7cee2f8810f48e0048bee4ffbf69d9e2",
     "simulate --family center --alpha 2 --n 11 --periods 1.5 --points-per-period 300":
         "b86094bf9e17cd17b948717bb00ac3dc61eabd6c7a6ee088f224b564b07beb20",
     "ensemble --family center --alpha 2 --n 11 --eps 0.02 --nav 10 --seed 3":
@@ -135,7 +135,7 @@ SUBCOMMAND_SHA256 = {
     "analyze --family center --alpha 2 --n 11 --localization":
         "c9fe8e72351b0ebea98d0546e44b7c821d5ea5cd5bac66067117781f87ae76ec",
     "analyze --family center --alpha 2 --n 11 --level-shifts --eps 0.02 --nav 10 --seed 3":
-        "bff13574b80886bdc0f2c5e45e79b1e7a359223fd2673a798ae00895ec2378e2",
+        "42bdfcf918b784307e21f1ca893d39aa5e9dceaf90d82449cefb4c72f8b5994c",
     "analyze --family center --alpha 2 --n 11 --window":
         "71ed0997e2dd7d218cfac423a6a6ac0adb5d9ddae440f80d87a24dc7fd5ef92e",
 }
@@ -153,7 +153,8 @@ def _check_pins(outdir, pins):
     }
     changed = sorted(name for name in pins if digests.get(name) != pins[name])
     assert sorted(digests) == sorted(pins)
-    assert changed == []
+    # the message lists each changed file with its new digest, ready to paste as a pin
+    assert changed == [], "\n".join(f'"{name}": "{digests.get(name)}",' for name in changed)
 
 
 @pytest.fixture(scope="module")
