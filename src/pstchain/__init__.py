@@ -3,7 +3,6 @@ robustness under static coupling disorder."""
 
 from .analysis import (
     LevelShiftStats,
-    LocalizationMap,
     WindowMetrics,
     detect_first_maximum,
     level_shift_stats,

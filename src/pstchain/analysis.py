@@ -15,10 +15,10 @@ import numpy as np
 from .disorder import DisorderModel, realizations
 from .dynamics import (
     PHASE_BLOCK,
-    EigenSystem,
     _require_mirrored,
     _transfer_abs,
     averaged_fidelity,
+    diagonalize,
 )
 from .errors import NoEchoError, NoWindowError
 from .inverse_eigen import CouplingSet
@@ -32,26 +32,6 @@ FIRST_MAX_FLOOR = 0.55
 #: M2 = sum_k |P_k| omega_k^2 bounds |f_N''| (J_1^2 on a clean mirrored chain),
 #: so that sqrt(M2) h = WINDOW_STEP pi.
 WINDOW_STEP = 1 / 8
-
-
-@dataclass(frozen=True)
-class LocalizationMap:
-    """Eigenvector probabilities p[k, i] = a_{k,i}^2; both marginals sum to 1."""
-
-    p: np.ndarray
-
-    def __post_init__(self):
-        freeze(self, "p")
-        p = self.p
-        n = p.shape[0]
-        if p.ndim != 2 or p.shape != (n, n):
-            raise ValueError("probability map must be square")
-        if np.any(p < 0) or np.any(p > 1 + 1e-10):
-            raise ValueError("probabilities must lie in [0, 1]")
-        if np.max(np.abs(p.sum(axis=0) - 1.0)) > 1e-10:
-            raise ValueError("columns (sites) must sum to 1")
-        if np.max(np.abs(p.sum(axis=1) - 1.0)) > 1e-10:
-            raise ValueError("rows (levels) must sum to 1")
 
 
 @dataclass(frozen=True)
@@ -97,9 +77,11 @@ class WindowMetrics:
     first_max_fidelity: float
 
 
-def site_probabilities(eig: EigenSystem) -> LocalizationMap:
-    """Squared eigenvector components of a chain eigensystem."""
-    return LocalizationMap(eig.eigenvectors**2)
+def site_probabilities(couplings: CouplingSet) -> np.ndarray:
+    """Read-only p[k, i] = a_{k,i}^2 of the Gram-checked eigenvectors; rows and columns sum to 1."""
+    p = diagonalize(couplings).eigenvectors ** 2
+    p.setflags(write=False)
+    return p
 
 
 def participation_ratio(weights) -> float:

@@ -39,7 +39,7 @@ from .disorder import (
     fidelity_vs_strength,
     run_ensemble,
 )
-from .dynamics import diagonalize, fidelity_trace
+from .dynamics import fidelity_trace
 from .errors import NumericalError
 from .pipeline import STANDARD_FAMILIES, DesignedChain, SpectrumStage, design_chain, design_standard, spectrum_stage
 from .spectra import BASE_SEARCH_TOLERANCE, FAMILIES, MAX_SCAN_CANDIDATES, SpectrumSpec
@@ -307,10 +307,10 @@ def sweep_table(chain: DesignedChain, model: DisorderModel, strengths: list[floa
 
 
 def localization_table(chain: DesignedChain) -> str:
-    pmap = site_probabilities(diagonalize(chain.couplings))
+    p = site_probabilities(chain.couplings)
     results = {
         "t_pst": chain.t_pst,
-        "participation_ratio_site1": participation_ratio(pmap.p[:, 0]),
+        "participation_ratio_site1": participation_ratio(p[:, 0]),
     }
     index = np.arange(1, chain.n_sites + 1)
     return render_table(
@@ -318,7 +318,7 @@ def localization_table(chain: DesignedChain) -> str:
         {
             "level_index": np.repeat(index, index.size),
             "site_index": np.tile(index, index.size),
-            "probability": pmap.p.ravel(),
+            "probability": p.ravel(),
         },
     )
 

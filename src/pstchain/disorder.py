@@ -142,11 +142,14 @@ def echo_decay(
     effect; it is accepted only so that existing callers that pass it keep
     working.
     """
+    return run_ensemble(couplings, model, _echo_times(couplings, n_echoes))
+
+
+def _echo_times(couplings: CouplingSet, n_echoes: int) -> np.ndarray:
+    """The first n_echoes odd multiples (2i - 1) t_pst of the chain's own transfer time."""
     if n_echoes < 1:
         raise ValueError("need at least one echo")
-    timing = pst_time(Spectrum(couplings.eigenvalues()))
-    echo_times = (2.0 * np.arange(1, n_echoes + 1) - 1.0) * timing.t_pst
-    return run_ensemble(couplings, model, echo_times)
+    return (2.0 * np.arange(1, n_echoes + 1) - 1.0) * pst_time(Spectrum(couplings.eigenvalues())).t_pst
 
 
 def fidelity_vs_strength(
@@ -157,8 +160,8 @@ def fidelity_vs_strength(
 ) -> np.ndarray:
     """Mean fidelity at the unperturbed t_pst versus disorder strength.
 
-    Each row is the first echo of one ensemble per strength, all sharing
-    base_seed (so the underlying uniform draws are paired across strengths).
+    Each row is `echo_decay`'s first echo at one strength, timed once for the
+    sweep; all share base_seed (so the uniform draws are paired across strengths).
     Every strength is checked before any realization runs.  Returns rows of
     (epsilon, mean_fidelity, std_error).
     """
@@ -166,8 +169,9 @@ def fidelity_vs_strength(
         DisorderModel(epsilon=float(eps), n_realizations=n_realizations, base_seed=base_seed)
         for eps in np.atleast_1d(np.asarray(epsilons, dtype=float))
     ]
+    t_pst = _echo_times(couplings, 1)
     rows = np.empty((len(models), 3))
     for i, model in enumerate(models):
-        first = echo_decay(couplings, model, 1)
+        first = run_ensemble(couplings, model, t_pst)
         rows[i] = (model.epsilon, first.mean_fidelity[0], first.std_error[0])
     return rows

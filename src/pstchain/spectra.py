@@ -167,9 +167,12 @@ def pst_time(spectrum: Spectrum) -> PstTiming:
 
     Any admissible base divides the smallest gap by an odd integer, so the
     search enumerates odd divisors of the smallest gap in increasing order
-    (decreasing base) and returns the first one for which every gap ratio is
-    an odd integer within GAP_ODDNESS_RTOL (relative).  Transfer then recurs at
-    all odd multiples of the returned t_pst.
+    (decreasing base) and returns the first one for which every gap ratio r is
+    an odd integer within GAP_ODDNESS_RTOL * r.  Only divisors whose window
+    is below 1/2 at the largest gap, and so at every gap, are tried: a wider
+    window would hold a real number at distance 1 from its nearest odd
+    integer, so any ratio would pass.  Transfer then recurs at all odd
+    multiples of the returned t_pst.
 
     The divisors are tested in blocks of _SCAN_BLOCK, and the scan stops at
     the first block that holds an admissible divisor, so a commensurate
@@ -178,14 +181,15 @@ def pst_time(spectrum: Spectrum) -> PstTiming:
     gaps = spectrum.gaps
     g_min = float(gaps.min())
     divisors = np.arange(1, _MAX_BASE_DIVISOR + 1, 2, dtype=float)
+    # the largest gap's ratio, as the scan computes it; below g_min ~ 1e-304
+    # large divisors overflow it to inf, which drops them too
+    with np.errstate(over="ignore"):
+        divisors = divisors[GAP_ODDNESS_RTOL * (gaps.max() * (divisors / g_min)) < 0.5]
     for start in range(0, divisors.size, _SCAN_BLOCK):
         block = divisors[start:start + _SCAN_BLOCK]
-        # below g_min ~ 1e-304 large divisors overflow the ratios to inf, and
-        # inf - inf = nan, which is never admissible
-        with np.errstate(over="ignore", invalid="ignore"):
-            ratios = gaps[None, :] * (block[:, None] / g_min)
-            nearest_odd = 2.0 * np.floor(ratios / 2.0) + 1.0
-            admissible = np.abs(ratios - nearest_odd) <= GAP_ODDNESS_RTOL * ratios
+        ratios = gaps[None, :] * (block[:, None] / g_min)
+        nearest_odd = 2.0 * np.floor(ratios / 2.0) + 1.0
+        admissible = np.abs(ratios - nearest_odd) <= GAP_ODDNESS_RTOL * ratios
         rows = np.nonzero(admissible.all(axis=1))[0]
         if rows.size:
             best = int(rows[0])
@@ -206,13 +210,15 @@ def commensurate_adjust(
     """Minimally readjust an odd-length spectrum so that it satisfies the PST condition.
 
     If the input is already commensurate within the oddness tolerance, its
-    gaps are merely snapped to exact odd multiples of the detected base.
-    Otherwise a candidate base is scanned over [g_min/3, g_min] at resolution
-    `base_search_tolerance * g_min`; for each candidate every gap ratio is
-    rounded to the nearest odd integer (ties up) and the candidate with the
-    smallest summed squared relative gap deviation wins.  The output spectrum
-    is rebuilt antisymmetrically from the center outward, so the PST
-    condition holds exactly afterward.
+    gaps are merely snapped to exact odd multiples of the detected base,
+    whatever the ratio of its largest to its smallest gap.  Otherwise a
+    candidate base is scanned over [g_min/3, g_min] at resolution
+    `base_search_tolerance * g_min`, which must resolve g_min against g_max
+    (DegenerateGapsError if g_min < base_search_tolerance * g_max); for each
+    candidate every gap ratio is rounded to the nearest odd integer (ties up)
+    and the candidate with the smallest summed squared relative gap deviation
+    wins.  The output spectrum is rebuilt antisymmetrically from the center
+    outward, so the PST condition holds exactly afterward.
 
     The candidates are scored in blocks of _SCAN_BLOCK, so the scan holds a
     _SCAN_BLOCK x (N - 1) table instead of one row per candidate.  A later
@@ -240,12 +246,6 @@ def commensurate_adjust(
         )
     gaps = spectrum.gaps
     g_min = float(gaps.min())
-    g_max = float(gaps.max())
-    if g_min < base_search_tolerance * g_max:
-        raise DegenerateGapsError(
-            f"smallest gap {g_min:g} is below {base_search_tolerance:g} x largest "
-            f"gap {g_max:g}; cannot resolve a common base"
-        )
     if g_min < np.finfo(float).tiny:
         raise DegenerateGapsError(
             f"smallest gap {g_min:g} is subnormal; cannot resolve a common base"
@@ -257,6 +257,12 @@ def commensurate_adjust(
     except NotCommensurateError:
         pass
 
+    g_max = float(gaps.max())
+    if g_min < base_search_tolerance * g_max:
+        raise DegenerateGapsError(
+            f"smallest gap {g_min:g} is below {base_search_tolerance:g} x largest "
+            f"gap {g_max:g}; cannot resolve a common base"
+        )
     bases = np.linspace(g_min / 3.0, g_min, int(n_candidates))
     best, multipliers = _best_base(gaps, bases)
     snapped = _snap(multipliers, float(bases[best]), spectrum.n_sites)

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
 
 from pstchain.analysis import (
-    LocalizationMap,
     _pair_curvature,
     detect_first_maximum,
     level_shift_stats,
@@ -29,22 +28,24 @@ from oracles import transfer_amplitude
 
 class TestSiteProbabilities:
     def test_two_site_uniform(self):
-        pmap = site_probabilities(diagonalize(CouplingSet([1.0])))
-        np.testing.assert_allclose(pmap.p, 0.5 * np.ones((2, 2)), atol=1e-14)
+        p = site_probabilities(CouplingSet([1.0]))
+        np.testing.assert_allclose(p, 0.5 * np.ones((2, 2)), atol=1e-14)
 
     def test_double_stochastic(self, chains31):
         for chain in chains31.values():
-            p = site_probabilities(diagonalize(chain.couplings)).p
+            p = site_probabilities(chain.couplings)
             np.testing.assert_allclose(p.sum(axis=0), np.ones(31), atol=1e-10)
             np.testing.assert_allclose(p.sum(axis=1), np.ones(31), atol=1e-10)
 
     def test_mirror_symmetry(self, chains31):
-        p = site_probabilities(diagonalize(chains31["quadratic"].couplings)).p
+        p = site_probabilities(chains31["quadratic"].couplings)
         np.testing.assert_allclose(p, p[::-1, ::-1], atol=1e-10)
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LocalizationMap(np.array([[0.9, 0.1], [0.3, 0.7]]))
+    def test_squares_the_checked_eigenvectors_read_only(self, chains31):
+        for chain in chains31.values():
+            p = site_probabilities(chain.couplings)
+            assert not p.flags.writeable
+            assert p.tobytes() == (diagonalize(chain.couplings).eigenvectors ** 2).tobytes()
 
 
 class TestParticipationRatio:
@@ -59,7 +60,7 @@ class TestParticipationRatio:
     def test_quadratic_more_localized_than_sqrt_center(self, chains31):
         pr = {}
         for name in ("quadratic", "sqrt_center"):
-            p = site_probabilities(diagonalize(chains31[name].couplings)).p
+            p = site_probabilities(chains31[name].couplings)
             pr[name] = participation_ratio(p[:, 0])
         assert pr["quadratic"] < pr["sqrt_center"]
 
@@ -68,7 +69,7 @@ class TestParticipationRatio:
         # three most robust ones at strong disorder
         pr, fbar = {}, {}
         for name, chain in chains31.items():
-            p = site_probabilities(diagonalize(chain.couplings)).p
+            p = site_probabilities(chain.couplings)
             pr[name] = participation_ratio(p[:, 0])
             model = DisorderModel(epsilon=0.1, n_realizations=100, base_seed=SEED)
             fbar[name] = run_ensemble(chain.couplings, model, [chain.t_pst]).mean_fidelity[0]

@@ -13,6 +13,7 @@ from pstchain.cli import (
     spectrum_table,
 )
 from pstchain import inverse_eigen
+from pstchain.dynamics import end_to_end
 from pstchain.errors import NoWindowError, ReconstructionUnstableError
 from pstchain.inverse_eigen import CouplingSet
 from pstchain.pipeline import STANDARD_FAMILIES, design_chain, spectrum_stage
@@ -20,6 +21,7 @@ from pstchain.spectra import SpectrumSpec
 from pstchain.tableio import read_table
 
 from conftest import SEED
+from oracles import transfer_amplitude
 
 
 def run(tmp_path, name, argv):
@@ -119,6 +121,16 @@ class TestChainCommand:
         code, out = run(tmp_path, "s.csv", ["spectrum", *argv])
         assert code == EXIT_OK and out.stat().st_size > 0
 
+    @pytest.mark.parametrize("alpha,n_sites", [("3", "121"), ("4", "31"), ("5", "31")])
+    def test_commensurate_spectrum_with_wide_gap_ratio_designs(self, tmp_path, alpha, n_sites):
+        # odd integer gaps from 1 up to more than 1e4: snapped as they are, no scan
+        code, out = run(tmp_path, "c.csv", ["chain", "--family", "center", "--alpha", alpha, "--n", n_sites])
+        assert code == EXIT_OK
+        meta, columns, data = read_table(out)
+        assert meta["results"]["residual"] < 1e-14
+        transfer = end_to_end(CouplingSet(data[:, columns.index("coupling")]))
+        assert abs(transfer_amplitude(transfer, meta["results"]["t_pst"])) == pytest.approx(1.0, abs=1e-12)
+
     def test_boundary_quadratic_designs_at_2001(self, tmp_path):
         # the full-chain weights range over 120 decades here; the sector weights over a few
         argv = ["chain", "--family", "boundary", "--alpha", "2", "--n", "2001"]
@@ -155,6 +167,13 @@ class TestNumericalBreakdownExits3:
         assert main([command, "--family", "center", "--alpha", "2", "--n", "11", *rest]) == EXIT_NUMERICAL
         err = capfd.readouterr().err
         assert err.startswith("error (") and "Error): " in err and err.count("\n") == 1
+
+    def test_gap_ratios_past_the_oddness_window(self, capfd):
+        # the largest gap is 1.2e12 times the smallest: a window of 1e-9 r would count every real number as odd
+        argv = ["spectrum", "--no-adjust", "--family", "center", "--alpha", "10.5", "--n", "31"]
+        assert main(argv) == EXIT_NUMERICAL
+        err = capfd.readouterr().err
+        assert err.startswith("error (NotCommensurateError): ") and err.count("\n") == 1
 
     def test_coinciding_levels_of_a_realization(self, monkeypatch, capfd):
         solve = CouplingSet.eigenvalues

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
 
+from pstchain import disorder
 from pstchain.disorder import (
     DisorderModel,
     EnsembleResult,
@@ -267,6 +268,17 @@ class TestFidelityVsStrength:
         for eps, row in zip(strengths, rows):
             direct = run_ensemble(couplings, model(eps=eps, nav=nav, seed=seed), [t_pst])
             assert row.tolist() == [eps, direct.mean_fidelity[0], direct.std_error[0]]
+
+    def test_times_the_chain_once(self, chains31, monkeypatch):
+        timed = []
+
+        def counted(spectrum):
+            timed.append(spectrum)
+            return pst_time(spectrum)
+
+        monkeypatch.setattr(disorder, "pst_time", counted)
+        fidelity_vs_strength(chains31["linear"].couplings, [0.0, 0.01, 0.05, 0.1, 0.15, 0.2, 0.3], 3, SEED)
+        assert len(timed) == 1
 
     def test_negative_strength_rejected(self, chains31):
         for strengths in ([-0.1], [0.1, np.nan], [np.inf]):

@@ -1,6 +1,4 @@
 import collections
-import importlib.util
-import pathlib
 import sys
 
 import numpy as np
@@ -22,8 +20,6 @@ from pstchain.errors import (
 )
 from pstchain.pipeline import STANDARD_FAMILIES, design_chain, design_standard, spectrum_stage
 from pstchain.spectra import SpectrumSpec, generate_spectrum
-
-ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def _record_calls(monkeypatch, module, name):
@@ -142,18 +138,3 @@ class TestTwoSectorInverse:
 ])
 def test_numerical_errors_share_one_base(error):
     assert issubclass(error, NumericalError) and not issubclass(error, ValueError)
-
-
-def test_benchmark_tracer_resolves_every_target(monkeypatch):
-    # the benchmark's per-layer view patches the bindings of the loaded
-    # pstchain modules (pstchain.cli is imported above), so a binding moved
-    # between modules must not silently drop a layer
-    path = ROOT / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, tracer)
-    spec.loader.exec_module(tracer)
-    t = tracer.Tracer()
-    with t.patched():
-        pass
-    assert t.absent == []

@@ -264,9 +264,17 @@ class TestCommensurateAdjust:
             commensurate_adjust(Spectrum([-3.0, -1.0, 1.0, 3.0]))
 
     def test_degenerate_gaps_rejected(self):
-        s = Spectrum([-2.0, -1e-5, 0.0, 1e-5, 2.0])
+        # gap ratio 200000 is even, so the scan runs and cannot resolve 1e-5 against 2
+        s = Spectrum([-2.00001, -1e-5, 0.0, 1e-5, 2.00001])
         with pytest.raises(DegenerateGapsError):
             commensurate_adjust(s)
+
+    def test_commensurate_spectrum_snapped_whatever_its_gap_ratio(self):
+        # gap ratio 199999 is odd: no scan runs, so its resolution does not apply
+        s = Spectrum([-2.0, -1e-5, 0.0, 1e-5, 2.0])
+        adjusted, timing = commensurate_adjust(s)
+        assert timing.odd_multipliers.tolist() == [199999, 1, 1, 199999]
+        np.testing.assert_allclose(adjusted.values, s.values, rtol=0, atol=1e-15)
 
 
 def _one_shot_pst_time(spectrum):
@@ -276,7 +284,8 @@ def _one_shot_pst_time(spectrum):
     divisors = np.arange(1, 9999 + 1, 2, dtype=float)
     ratios = gaps[None, :] * (divisors[:, None] / g_min)
     nearest_odd = 2.0 * np.floor(ratios / 2.0) + 1.0
-    rows = np.nonzero((np.abs(ratios - nearest_odd) <= 1e-9 * ratios).all(axis=1))[0]
+    window = 1e-9 * ratios
+    rows = np.nonzero(((np.abs(ratios - nearest_odd) <= window) & (window < 0.5)).all(axis=1))[0]
     if rows.size == 0:
         return None
     return float(np.pi / (g_min / divisors[rows[0]])), nearest_odd[rows[0]].astype(int)
