@@ -25,6 +25,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    WINDOW_THRESHOLD,
     detect_first_maximum,
     level_shift_stats,
     participation_ratio,
@@ -129,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--eps", type=float, default=0.01, help="disorder strength (level-shift mode)")
     ana.add_argument("--nav", type=int, default=1000, help="realizations (level-shift mode, default 1000)")
     ana.add_argument("--seed", type=int, default=0, help="base seed (level-shift mode)")
-    ana.add_argument("--threshold", type=float, default=0.99, help="window fidelity threshold (window mode, default 0.99)")
+    ana.add_argument("--threshold", type=float, default=WINDOW_THRESHOLD, help=f"window fidelity threshold (window mode, default {WINDOW_THRESHOLD:g})")
     _add_output_arg(ana)
     ana.set_defaults(handler=cmd_analyze)
 
@@ -230,9 +231,7 @@ def spectrum_table(stage: SpectrumStage) -> str:
 def chain_table(chain: DesignedChain) -> str:
     j = chain.couplings.couplings
     j_max = chain.couplings.j_max
-    results = {
-        "t_pst": chain.t_pst,
-        "gamma": chain.gamma,
+    results = _chain_results(chain) | {
         "j_max": j_max,
         "residual": chain.residual,
         "max_adjustment_rel": chain.stage.max_adjustment,
@@ -411,7 +410,7 @@ def cmd_reproduce(args) -> None:
             "strength_sweep": sweep_table(chain, model, sweep),
             "localization": localization_table(chain),
             "level_shifts": level_shifts_table(chain, model),
-            "window": window_table(chain, threshold=0.99),
+            "window": window_table(chain, threshold=WINDOW_THRESHOLD),
         }
         for stage, text in products.items():
             _write(os.path.join(args.outdir, f"{stage}_{name}.csv"), text)

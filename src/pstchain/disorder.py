@@ -9,6 +9,7 @@ A strength sweep row is the first echo of `echo_decay` at that strength.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -38,10 +39,20 @@ class DisorderModel:
                 f"disorder strength epsilon = {self.epsilon:g} is out of range: strengths must be "
                 "finite and non-negative, and below 1 so that no coupling turns non-positive"
             )
+        _require_integer("n_realizations", self.n_realizations)
+        _require_integer("base_seed", self.base_seed)
         if self.n_realizations < 1:
             raise ValueError("need at least one realization")
         if not 0 <= int(self.base_seed) < 2**64:
             raise ValueError("base_seed must fit in 64 unsigned bits")
+
+
+def _require_integer(name: str, value) -> None:
+    """Raise ValueError unless value is an integer (a Python int or a numpy integer)."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -111,6 +122,8 @@ def run_ensemble(
     working.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
     per_time = np.ascontiguousarray(np.array([
         averaged_fidelity(_transfer_abs(end_to_end(chain), times))
         for chain in realizations(couplings, model)
@@ -147,6 +160,7 @@ def echo_decay(
 
 def _echo_times(couplings: CouplingSet, n_echoes: int) -> np.ndarray:
     """The first n_echoes odd multiples (2i - 1) t_pst of the chain's own transfer time."""
+    _require_integer("n_echoes", n_echoes)
     if n_echoes < 1:
         raise ValueError("need at least one echo")
     return (2.0 * np.arange(1, n_echoes + 1) - 1.0) * pst_time(Spectrum(couplings.eigenvalues())).t_pst

@@ -197,6 +197,8 @@ def fidelity_trace(
 
     The pair must be exactly mirrored, as `end_to_end` returns it.
     """
+    if not (np.isfinite(t_start) and np.isfinite(t_end)):
+        raise ValueError("t_start and t_end must be finite")
     if not t_start < t_end:
         raise ValueError("need t_start < t_end")
     if n_points < 2:

@@ -61,7 +61,7 @@ class DesignedChain:
     normalize: bool
     spectrum: Spectrum
     couplings: CouplingSet
-    timing: PstTiming
+    t_pst: float  # stage.timing.t_pst rescaled; the multipliers stay at stage.timing
     residual: float
     gamma: float
 
@@ -72,10 +72,6 @@ class DesignedChain:
     @property
     def n_sites(self) -> int:
         return self.spec.n_sites
-
-    @property
-    def t_pst(self) -> float:
-        return self.timing.t_pst
 
     @cached_property
     def end_to_end(self) -> tuple[np.ndarray, np.ndarray]:
@@ -123,17 +119,15 @@ def design_chain(
     scale = couplings.j_max if normalize else 1.0
     couplings = couplings.scaled(1.0 / scale)
     spectrum = stage.spectrum.scaled(1.0 / scale)
-    timing = PstTiming(
-        t_pst=stage.timing.t_pst * scale, odd_multipliers=stage.timing.odd_multipliers
-    )
+    t_pst = stage.timing.t_pst * scale
     residual = verify_reconstruction(couplings, spectrum)
-    gamma = speed_ratio(timing.t_pst, n_sites, couplings.j_max)
+    gamma = speed_ratio(t_pst, n_sites, couplings.j_max)
     return DesignedChain(
         stage=stage,
         normalize=normalize,
         spectrum=spectrum,
         couplings=couplings,
-        timing=timing,
+        t_pst=t_pst,
         residual=residual,
         gamma=gamma,
     )

@@ -128,10 +128,6 @@ class PstTiming:
         if mult.ndim != 1 or np.any(mult <= 0) or np.any(mult % 2 == 0):
             raise ValueError("multipliers must be positive odd integers")
 
-    @property
-    def base_gap(self) -> float:
-        return float(np.pi / self.t_pst)
-
 
 def generate_spectrum(spec: SpectrumSpec) -> Spectrum:
     """Evaluate the requested spectrum family.
@@ -253,7 +249,7 @@ def commensurate_adjust(
 
     try:
         timing = pst_time(spectrum)
-        return _snap(timing.odd_multipliers, timing.base_gap, spectrum.n_sites), timing
+        return _snap(timing.odd_multipliers, float(np.pi / timing.t_pst), spectrum.n_sites), timing
     except NotCommensurateError:
         pass
 

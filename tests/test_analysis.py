@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
 
 from pstchain.analysis import (
-    _pair_curvature,
     detect_first_maximum,
     level_shift_stats,
     linear_reference_time,
@@ -139,6 +138,22 @@ class TestLevelShiftStats:
         np.testing.assert_array_equal(stats.std, np.zeros(31))
         np.testing.assert_array_equal(stats.mean_shift, np.zeros(31))
 
+    @pytest.mark.parametrize("name", STANDARD_FAMILIES)
+    def test_weak_disorder_spread_matches_first_order_oracle(self, chains31, name):
+        # first order in the bond perturbations J_i delta_i, delta_i ~ U(-eps, eps):
+        # d omega_k = sum_i 2 J_i a_{k,i} a_{k,i+1} delta_i, so its spread is
+        # (eps / sqrt 3) ||2 J_i a_{k,i} a_{k,i+1}||_2; no random draw enters
+        eps, nav = 1e-3, 1000
+        couplings = chains31[name].couplings
+        a = diagonalize(couplings).eigenvectors
+        gradient = 2.0 * couplings.couplings * a[:, :-1] * a[:, 1:]
+        oracle = eps / np.sqrt(3.0) * np.linalg.norm(gradient, axis=1)
+        stats = level_shift_stats(couplings, DisorderModel(eps, nav, SEED))
+        assert stats.std[15] == 0.0  # the zero mode is exact at every realization
+        nonzero = np.arange(31) != 15
+        # the standard error of a spread estimate from R samples is about std / sqrt(2 R)
+        np.testing.assert_allclose(stats.std[nonzero], oracle[nonzero], rtol=5.0 / np.sqrt(2.0 * nav))
+
     def test_mean_shift_small_at_weak_disorder(self, chains31):
         chain = chains31["linear"]
         model = DisorderModel(epsilon=0.01, n_realizations=300, base_seed=SEED)
@@ -154,7 +169,7 @@ class TestWindowCurvature:
     def test_concentrated_weights_limit(self):
         omega = np.array([-2.0, 0.0, 2.0])
         p = np.array([0.0, 1.0, 0.0])
-        assert _pair_curvature(omega, p) == 0.0
+        assert window_curvature((omega, p)) == 0.0
 
     def test_equals_twice_first_coupling_squared(self, chains31):
         # sum_k w_k omega_k^2 is the (1,1) element of H^2, i.e. J_1^2, and the
@@ -283,6 +298,12 @@ class TestWindowWidth:
             window_width((levels, products), -chain.t_pst, 0.99)
         with pytest.raises(ValueError, match="mirrored"):
             window_width((levels, products * (1.0 + 1e-12 * np.arange(levels.size))), chain.t_pst, 0.99)
+
+    @pytest.mark.parametrize("t_pst", [np.inf, -np.inf, np.nan])
+    def test_non_finite_t_pst_rejected(self, chains31, t_pst):
+        transfer = end_to_end(chains31["linear"].couplings)
+        with pytest.raises(ValueError, match="positive and finite"):
+            window_width(transfer, t_pst, 0.99)
 
     @pytest.mark.parametrize("threshold", [0.8, 0.99, 0.999])
     @pytest.mark.parametrize("name,n_sites", FAMILIES_AND_QUADRATIC_301)
@@ -417,3 +438,6 @@ class TestSpeedRatio:
             speed_ratio(-1.0, 31, 1.0)
         with pytest.raises(ValueError):
             linear_reference_time(31, 0.0)
+        for args in [(np.nan, 31, 1.0), (1.0, 31, np.nan), (1.0, 0, 1.0), (1.0, 31, -1.0)]:
+            with pytest.raises(ValueError, match="must be positive"):
+                speed_ratio(*args)  # NaN fails `not x > 0` too

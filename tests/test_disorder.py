@@ -39,6 +39,17 @@ class TestDisorderModel:
         with pytest.raises(ValueError):
             DisorderModel(epsilon=0.1, n_realizations=10, base_seed=2**64)
 
+    @pytest.mark.parametrize("nav,seed", [(2.5, 0), (3.0, 0), (3, 1.5), (3, 1.0), ("3", 0)])
+    def test_non_integral_counts_rejected(self, nav, seed):
+        with pytest.raises(ValueError, match="must be an integer"):
+            DisorderModel(epsilon=0.1, n_realizations=nav, base_seed=seed)
+
+    def test_numpy_integers_accepted(self, chains31):
+        couplings = chains31["linear"].couplings
+        numpy_model = DisorderModel(epsilon=0.1, n_realizations=np.int64(3), base_seed=np.uint64(SEED))
+        plain = perturb_couplings(couplings, model(eps=0.1, nav=3), 2).couplings
+        assert perturb_couplings(couplings, numpy_model, 2).couplings.tobytes() == plain.tobytes()
+
 
 class TestPerturbCouplings:
     def test_zero_strength_identity(self, chains31):
@@ -144,6 +155,14 @@ class TestRunEnsemble:
             res.std_error, samples.std(axis=0, ddof=1) / np.sqrt(6), rtol=0, atol=1e-14
         )
 
+    @pytest.mark.parametrize("times", [[np.inf], [np.nan], [0.0, 1.0, -np.inf]])
+    def test_non_finite_times_rejected_before_any_realization(self, chains31, monkeypatch, times):
+        solved = []
+        monkeypatch.setattr(disorder, "end_to_end", lambda c: solved.append(c))
+        with pytest.raises(ValueError, match="finite"):
+            run_ensemble(chains31["linear"].couplings, model(nav=5), times)
+        assert solved == []
+
     def test_realizations_solve_no_eigenvectors(self, chains31, monkeypatch):
         import pstchain.disorder as disorder
         import pstchain.dynamics as dynamics
@@ -237,6 +256,16 @@ class TestEchoDecay:
     def test_echo_count_validated(self, chains31):
         with pytest.raises(ValueError):
             echo_decay(chains31["linear"].couplings, model(), 0)
+
+    @pytest.mark.parametrize("n_echoes", [2.5, 3.0])
+    def test_non_integral_echo_count_rejected(self, chains31, n_echoes):
+        with pytest.raises(ValueError, match="must be an integer"):
+            echo_decay(chains31["linear"].couplings, model(), n_echoes)
+
+    def test_numpy_integer_echo_count_accepted(self, chains31):
+        couplings = chains31["linear"].couplings
+        res = echo_decay(couplings, model(nav=3), np.int64(3))
+        assert res.times.tobytes() == echo_decay(couplings, model(nav=3), 3).times.tobytes()
 
 
 class TestFidelityVsStrength:

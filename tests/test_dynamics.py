@@ -335,6 +335,14 @@ class TestFidelityTrace:
         with pytest.raises(ValueError):
             fidelity_trace(transfer, 0.0, 1.0, 1)
 
+    @pytest.mark.parametrize(
+        "t_start,t_end", [(0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0), (0.0, np.nan), (-np.inf, np.inf)]
+    )
+    def test_non_finite_ends_rejected(self, chains31, t_start, t_end):
+        transfer = end_to_end(chains31["linear"].couplings)
+        with pytest.raises(ValueError, match="finite"):
+            fidelity_trace(transfer, t_start, t_end, 5)
+
 
 class TestMirrorSymmetry:
     def test_end_components_match(self, chains31):
