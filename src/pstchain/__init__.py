@@ -18,7 +18,7 @@ from .disorder import (
     DisorderModel,
     EnsembleResult,
     echo_decay,
-    fidelity_vs_strength,
+    echo_times,
     perturb_couplings,
     run_ensemble,
 )

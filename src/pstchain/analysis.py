@@ -53,7 +53,7 @@ class LevelShiftStats:
         freeze(self, "std", "mean_shift", "omega_unperturbed")
         if not (self.std.shape == self.mean_shift.shape == self.omega_unperturbed.shape):
             raise ValueError("per-level arrays must be aligned")
-        if np.any(self.std < 0):
+        if not np.all(self.std >= 0):
             raise ValueError("standard deviations must be non-negative")
 
     @property
@@ -87,9 +87,10 @@ def site_probabilities(couplings: CouplingSet) -> np.ndarray:
 def participation_ratio(weights) -> float:
     """(sum_k w_k^2)^{-1}: how many levels a probability column effectively spans."""
     w = np.asarray(weights, dtype=float)
-    total = w.sum()
-    if total <= 0:
-        raise ValueError("weights must have positive sum")
+    with np.errstate(over="ignore"):  # an overflowing sum is rejected below
+        total = w.sum()
+    if not (np.all(w >= 0) and 0 < total < np.inf):  # NaN and inf fail too
+        raise ValueError("weights must be finite and non-negative, with a positive sum")
     w = w / total
     return float(1.0 / np.sum(w**2))
 

@@ -33,13 +33,7 @@ from .analysis import (
     window_curvature,
     window_width,
 )
-from .disorder import (
-    RNG_ALGORITHM_ID,
-    DisorderModel,
-    echo_decay,
-    fidelity_vs_strength,
-    run_ensemble,
-)
+from .disorder import RNG_ALGORITHM_ID, DisorderModel, echo_times, run_ensemble
 from .dynamics import fidelity_trace
 from .errors import NumericalError
 from .pipeline import STANDARD_FAMILIES, DesignedChain, SpectrumStage, design_chain, design_standard, spectrum_stage
@@ -110,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ens = sub.add_parser("ensemble", help="disorder-averaged fidelity statistics")
     _add_family_args(ens)
-    ens.add_argument("--eps", type=float, default=0.01, help="relative disorder strength (default 0.01)")
+    ens.add_argument("--eps", type=float, default=0.01, help="relative disorder strength of the trace and echo modes (default 0.01)")
     ens.add_argument("--nav", type=int, default=100, help="number of realizations (default 100)")
     ens.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
     ens_mode = ens.add_mutually_exclusive_group()
@@ -190,13 +184,12 @@ def _design(args, normalize: bool = True) -> DesignedChain:
     return design_chain(args.n, args.family, args.alpha, args.amplitude, normalize, args.base_search_tolerance)
 
 
+def _ensemble_params(model: DisorderModel) -> dict:
+    return {"nav": model.n_realizations, "base_seed": model.base_seed, "rng_algorithm_id": RNG_ALGORITHM_ID}
+
+
 def _disorder_params(model: DisorderModel) -> dict:
-    return {
-        "eps": model.epsilon,
-        "nav": model.n_realizations,
-        "base_seed": model.base_seed,
-        "rng_algorithm_id": RNG_ALGORITHM_ID,
-    }
+    return {"eps": model.epsilon} | _ensemble_params(model)
 
 
 def _chain_results(chain: DesignedChain) -> dict:
@@ -280,7 +273,7 @@ def ensemble_trace_table(
 
 
 def echoes_table(chain: DesignedChain, model: DisorderModel, echoes: int) -> str:
-    res = echo_decay(chain.couplings, model, echoes)
+    res = run_ensemble(chain.couplings, model, echo_times(chain.t_pst, echoes))
     params = _disorder_params(model) | {"echoes": echoes}
     return render_table(
         _metadata("ensemble", chain.stage, params, _chain_results(chain)),
@@ -293,15 +286,22 @@ def echoes_table(chain: DesignedChain, model: DisorderModel, echoes: int) -> str
     )
 
 
-def sweep_table(chain: DesignedChain, model: DisorderModel, strengths: list[float]) -> str:
-    """Mean fidelity at t_pst per strength; model.epsilon is only recorded."""
-    if not strengths:
+def sweep_table(chain: DesignedChain, models: list[DisorderModel]) -> str:
+    """Mean fidelity at the designed t_pst, one row per model; the models share
+    n_realizations and base_seed, so the uniform draws are paired across strengths."""
+    if not models:
         raise ValueError("--sweep needs at least one strength")
-    eps, mean, std_error = fidelity_vs_strength(chain.couplings, strengths, model.n_realizations, model.base_seed).T
-    params = _disorder_params(model) | {"sweep": strengths}
+    if len({(model.n_realizations, model.base_seed) for model in models}) > 1:
+        raise ValueError("the models of a sweep must share n_realizations and base_seed")
+    strengths = [model.epsilon for model in models]
+    rows = [run_ensemble(chain.couplings, model, [chain.t_pst]) for model in models]
     return render_table(
-        _metadata("ensemble", chain.stage, params, _chain_results(chain)),
-        {"epsilon": eps, "mean_fidelity": mean, "std_error": std_error},
+        _metadata("ensemble", chain.stage, _ensemble_params(models[0]) | {"sweep": strengths}, _chain_results(chain)),
+        {
+            "epsilon": strengths,
+            "mean_fidelity": [row.mean_fidelity[0] for row in rows],
+            "std_error": [row.std_error[0] for row in rows],
+        },
     )
 
 
@@ -368,15 +368,18 @@ def cmd_simulate(args) -> None:
 
 
 def cmd_ensemble(args) -> None:
-    model = DisorderModel(epsilon=args.eps, n_realizations=args.nav, base_seed=args.seed)
-    chain = _design(args)
+    # the disorder inputs are checked before the chain is designed
     if args.sweep is not None:
         strengths = [float(tok) for tok in args.sweep.split(",") if tok.strip()]
-        text = sweep_table(chain, model, strengths)
-    elif args.echoes is not None:
-        text = echoes_table(chain, model, args.echoes)
+        models = [DisorderModel(epsilon=eps, n_realizations=args.nav, base_seed=args.seed) for eps in strengths]
+        text = sweep_table(_design(args), models)
     else:
-        text = ensemble_trace_table(chain, model, args.periods, args.points_per_period)
+        model = DisorderModel(epsilon=args.eps, n_realizations=args.nav, base_seed=args.seed)
+        chain = _design(args)
+        if args.echoes is not None:
+            text = echoes_table(chain, model, args.echoes)
+        else:
+            text = ensemble_trace_table(chain, model, args.periods, args.points_per_period)
     _write(args.out, text)
 
 
@@ -394,10 +397,13 @@ def cmd_analyze(args) -> None:
 
 def cmd_reproduce(args) -> None:
     # every input is checked and every family designed before anything is written
-    model = DisorderModel(epsilon=0.01, n_realizations=args.nav, base_seed=args.seed)
+    sweep = [
+        DisorderModel(epsilon=eps, n_realizations=args.nav, base_seed=args.seed)
+        for eps in (0.01, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3)
+    ]
+    model = sweep[0]  # eps = 0.01, the strength of every other ensemble table
     chains = {name: design_standard(name, args.n) for name in STANDARD_FAMILIES}
     os.makedirs(args.outdir, exist_ok=True)
-    sweep = [0.01, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3]
     written = 0
     for name in STANDARD_FAMILIES:
         chain = chains.pop(name)
@@ -407,7 +413,7 @@ def cmd_reproduce(args) -> None:
             "trace": simulate_table(chain, periods=2.0, points_per_period=2000),
             "ensemble_trace": ensemble_trace_table(chain, model, periods=2.0, points_per_period=200),
             "echoes": echoes_table(chain, model, echoes=9),
-            "strength_sweep": sweep_table(chain, model, sweep),
+            "strength_sweep": sweep_table(chain, sweep),
             "localization": localization_table(chain),
             "level_shifts": level_shifts_table(chain, model),
             "window": window_table(chain, threshold=WINDOW_THRESHOLD),

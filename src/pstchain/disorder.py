@@ -4,7 +4,8 @@ Each bond coupling is multiplied by (1 + delta_i) with delta_i drawn
 independently and uniformly from [-epsilon, +epsilon], 0 <= epsilon < 1.
 Realization r always draws from the stream derived from (base_seed, r), so
 every result here is a pure function of its inputs and bitwise reproducible.
-A strength sweep row is the first echo of `echo_decay` at that strength.
+Echo and sweep products time a designed chain by its `t_pst`; only
+`echo_decay`, given a bare coupling set, times the chain from its levels.
 """
 
 from __future__ import annotations
@@ -150,42 +151,18 @@ def echo_decay(
 ) -> EnsembleResult:
     """Mean fidelity at the unperturbed transfer echoes t_i = (2i - 1) t_pst.
 
-    The echo times come from the unperturbed chain; NotCommensurateError
-    propagates if its spectrum does not support PST.  `n_workers` has no
-    effect; it is accepted only so that existing callers that pass it keep
-    working.
+    A coupling set carries no designed t_pst, so the chain is timed here from
+    its own levels; NotCommensurateError propagates if its spectrum does not
+    support PST.  `n_workers` has no effect; it is accepted only so that
+    existing callers that pass it keep working.
     """
-    return run_ensemble(couplings, model, _echo_times(couplings, n_echoes))
+    odd = echo_times(1.0, n_echoes)  # checks the count before the levels are solved
+    return run_ensemble(couplings, model, odd * pst_time(Spectrum(couplings.eigenvalues())).t_pst)
 
 
-def _echo_times(couplings: CouplingSet, n_echoes: int) -> np.ndarray:
-    """The first n_echoes odd multiples (2i - 1) t_pst of the chain's own transfer time."""
+def echo_times(t_pst: float, n_echoes: int) -> np.ndarray:
+    """The first n_echoes odd multiples (2i - 1) t_pst of a transfer time."""
     _require_integer("n_echoes", n_echoes)
     if n_echoes < 1:
         raise ValueError("need at least one echo")
-    return (2.0 * np.arange(1, n_echoes + 1) - 1.0) * pst_time(Spectrum(couplings.eigenvalues())).t_pst
-
-
-def fidelity_vs_strength(
-    couplings: CouplingSet,
-    epsilons,
-    n_realizations: int,
-    base_seed: int,
-) -> np.ndarray:
-    """Mean fidelity at the unperturbed t_pst versus disorder strength.
-
-    Each row is `echo_decay`'s first echo at one strength, timed once for the
-    sweep; all share base_seed (so the uniform draws are paired across strengths).
-    Every strength is checked before any realization runs.  Returns rows of
-    (epsilon, mean_fidelity, std_error).
-    """
-    models = [
-        DisorderModel(epsilon=float(eps), n_realizations=n_realizations, base_seed=base_seed)
-        for eps in np.atleast_1d(np.asarray(epsilons, dtype=float))
-    ]
-    t_pst = _echo_times(couplings, 1)
-    rows = np.empty((len(models), 3))
-    for i, model in enumerate(models):
-        first = run_ensemble(couplings, model, t_pst)
-        rows[i] = (model.epsilon, first.mean_fidelity[0], first.std_error[0])
-    return rows
+    return (2.0 * np.arange(1, n_echoes + 1) - 1.0) * t_pst

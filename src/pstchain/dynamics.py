@@ -53,13 +53,13 @@ class EigenSystem:
         n = vals.size
         if vecs.shape != (n, n):
             raise ValueError("eigenvector matrix must be square, one row per level")
-        if np.any(np.diff(vals) < 0):
+        if not np.all(np.diff(vals) >= 0):  # NaN fails too
             raise ValueError("eigenvalues must be ascending")
         # |A A^T - I| in place, so the check holds one N x N array; the
         # product is C-contiguous, so ravel() is a view and [:: n + 1] its diagonal
         gram = vecs @ vecs.T
         gram.ravel()[:: n + 1] -= 1.0
-        if np.max(np.abs(gram, out=gram)) > ORTHONORMALITY_TOL:
+        if not np.max(np.abs(gram, out=gram)) <= ORTHONORMALITY_TOL:
             raise ValueError("eigenvector matrix is not orthonormal")
         del gram  # the private copy is taken only once the input has passed
         freeze(self, "eigenvalues", "eigenvectors")
@@ -78,7 +78,7 @@ class FidelityTrace:
         t, a = self.times, self.amplitude_abs
         if not (t.shape == a.shape == self.fidelity.shape) or t.ndim != 1:
             raise ValueError("times, amplitude_abs and fidelity must be aligned 1-D arrays")
-        if np.any(a < 0) or np.any(a > 1 + 1e-9):
+        if not np.all((a >= 0) & (a <= 1 + 1e-9)):
             raise ValueError("|f_N| must lie in [0, 1]")
 
 
@@ -178,10 +178,10 @@ def averaged_fidelity(amplitude_abs):
 
     F = |f|/3 + |f|^2/6 + 1/2, assuming the transmission phase has been
     compensated.  Accepts scalars or arrays; values outside [0, 1] beyond a
-    small numerical margin are rejected.
+    small numerical margin, NaN included, are rejected.
     """
     a = np.asarray(amplitude_abs, dtype=float)
-    if np.any(a < -1e-9) or np.any(a > 1 + 1e-9):
+    if not np.all((a >= -1e-9) & (a <= 1 + 1e-9)):
         raise ValueError("amplitude magnitude must lie in [0, 1]")
     a = np.clip(a, 0.0, 1.0)
     result = a / 3.0 + a**2 / 6.0 + 0.5

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
 
 from pstchain.analysis import (
+    LevelShiftStats,
     detect_first_maximum,
     level_shift_stats,
     linear_reference_time,
@@ -56,6 +57,13 @@ class TestParticipationRatio:
         w[3] = 1.0
         assert participation_ratio(w) == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("weights", [
+        [np.nan, 1.0], [np.inf, 1.0], [-1.0, 2.0], [0.0, 0.0], [1e308, 1e308], [],
+    ], ids=["nan", "inf", "negative", "zero-sum", "overflowing-sum", "empty"])
+    def test_invalid_weights_rejected(self, weights):
+        with pytest.raises(ValueError, match="non-negative, with a positive sum"):
+            participation_ratio(weights)
+
     def test_quadratic_more_localized_than_sqrt_center(self, chains31):
         pr = {}
         for name in ("quadratic", "sqrt_center"):
@@ -78,6 +86,11 @@ class TestParticipationRatio:
 
 
 class TestLevelShiftStats:
+    @pytest.mark.parametrize("std", [np.nan, -1.0, -np.inf])
+    def test_invalid_spread_rejected(self, std):
+        with pytest.raises(ValueError, match="non-negative"):
+            LevelShiftStats(std=[0.5, std], mean_shift=[0.0, 0.0], normalization=1.0, omega_unperturbed=[-1.0, 1.0])
+
     def test_zero_level_is_rigid(self, chains31):
         chain = chains31["linear"]
         model = DisorderModel(epsilon=0.05, n_realizations=100, base_seed=SEED)

@@ -258,6 +258,17 @@ class TestEnsembleCommand:
         np.testing.assert_array_equal(data[:, 0], [0.0, 0.05, 0.1])
         assert data[0, 1] == pytest.approx(1.0, abs=1e-9)
 
+    def test_sweep_neither_checks_nor_records_eps(self, tmp_path):
+        # no sweep row reads --eps, so an out-of-range value is not an error
+        code, out = run(tmp_path, "sw.csv", [
+            "ensemble", "--family", "center", "--alpha", "1", "--n", "9",
+            "--nav", "3", "--sweep", "0.1,0.2", "--eps", "5",
+        ])
+        assert code == EXIT_OK
+        meta, _, _ = read_table(out)
+        assert "eps" not in meta["params"]
+        assert meta["params"]["sweep"] == [0.1, 0.2] and meta["params"]["nav"] == 3
+
     def test_echoes_and_sweep_exclusive(self, capsys):
         code = main([
             "ensemble", "--family", "center", "--alpha", "1", "--n", "15",

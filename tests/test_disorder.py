@@ -4,12 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
 
-from pstchain import disorder
+from pstchain import disorder, spectra
+from pstchain.cli import sweep_table
 from pstchain.disorder import (
     DisorderModel,
     EnsembleResult,
     echo_decay,
-    fidelity_vs_strength,
+    echo_times,
     perturb_couplings,
     realizations,
     run_ensemble,
@@ -102,7 +103,42 @@ class TestRealizations:
         assert len(chains) == 1 and chains[0] is couplings
 
 
+def _deficit_sum(chain):
+    """sum_i ||(1 - P_N) D_i||^2 with D_i = int_0^t U(t - s) J_i V_i U(s) e_1 ds at t = t_pst.
+
+    V_i = |i><i+1| + h.c.  In the clean eigenbasis <k|D_i> = J_i sum_l
+    <k|V_i|l> a_{l,1} G_kl, where G_kl = int_0^t e^{-i w_k (t - s)} e^{-i w_l s} ds.
+    """
+    eig = diagonalize(chain.couplings)
+    w, a, t = eig.eigenvalues, eig.eigenvectors, chain.t_pst
+    gap = w[:, None] - w[None, :]
+    np.fill_diagonal(gap, 1.0)
+    g = (np.exp(-1j * w[None, :] * t) - np.exp(-1j * w[:, None] * t)) / (1j * gap)
+    np.fill_diagonal(g, t * np.exp(-1j * w * t))
+    b = g @ (a * a[:, :1])  # b[k, s] = sum_l G_kl a_{l,s} a_{l,1}
+    # <k|V_i|l> = a_{k,i} a_{l,i+1} + a_{k,i+1} a_{l,i}; one column of d per bond
+    d = chain.couplings.couplings * (a[:, :-1] * b[:, 1:] + a[:, 1:] * b[:, :-1])
+    return float(np.sum(np.abs(d) ** 2) - np.sum(np.abs(a[:, -1] @ d) ** 2))
+
+
 class TestRunEnsemble:
+    @pytest.mark.parametrize("name", sorted(STANDARD_FAMILIES))
+    def test_weak_disorder_deficit_matches_second_order_oracle(self, chains31, name):
+        # E[1 - F(t_pst)] = (eps^2 / 9) sum_i ||(1 - P_N) D_i||^2 at second order,
+        # from E[delta_i^2] = eps^2 / 3 and 1 - F = (1 - |f_N|^2) / 3; past a
+        # predicted 1e-2 the expansion overshoots, so those cases are left out
+        chain = chains31[name]
+        deficit_sum = _deficit_sum(chain)
+        checked = 0
+        for eps in (1e-3, 1e-2):
+            predicted = eps**2 / 9 * deficit_sum
+            if predicted > 1e-2:
+                continue
+            res = run_ensemble(chain.couplings, model(eps=eps, nav=1000), [chain.t_pst])
+            assert abs(1.0 - res.mean_fidelity[0] - predicted) <= 4.0 * res.std_error[0]
+            checked += 1
+        assert checked >= 1
+
     def test_zero_strength_matches_clean_trace(self, chains31):
         chain = chains31["linear"]
         times = np.linspace(0.0, 2.0 * chain.t_pst, 101)
@@ -178,8 +214,7 @@ class TestRunEnsemble:
         chain = chains31["quadratic_boundary"]
         run_ensemble(chain.couplings, model(eps=0.05, nav=6), [chain.t_pst])
         echo_decay(chain.couplings, model(eps=0.05, nav=6), 3)
-        fidelity_vs_strength(chain.couplings, [0.0, 0.1], 6, SEED)
-        assert len(solved) == 6 + 6 + 1 + 6
+        assert len(solved) == 6 + 6
 
     def test_thread_pool_matches_serial(self, chains31):
         chain = chains31["linear"]
@@ -262,24 +297,48 @@ class TestEchoDecay:
         with pytest.raises(ValueError, match="must be an integer"):
             echo_decay(chains31["linear"].couplings, model(), n_echoes)
 
+    def test_echo_count_checked_before_the_chain_is_timed(self, chains31, monkeypatch):
+        monkeypatch.setattr(disorder, "pst_time", lambda spectrum: pytest.fail("timed"))
+        with pytest.raises(ValueError, match="at least one echo"):
+            echo_decay(chains31["linear"].couplings, model(), 0)
+
+    def test_times_are_echo_times_of_the_chain_s_own_t_pst(self, chains31):
+        couplings = chains31["sqrt_center"].couplings
+        res = echo_decay(couplings, model(nav=2), 4)
+        t_pst = pst_time(Spectrum(couplings.eigenvalues())).t_pst
+        assert res.times.tobytes() == echo_times(t_pst, 4).tobytes()
+
     def test_numpy_integer_echo_count_accepted(self, chains31):
         couplings = chains31["linear"].couplings
         res = echo_decay(couplings, model(nav=3), np.int64(3))
         assert res.times.tobytes() == echo_decay(couplings, model(nav=3), 3).times.tobytes()
 
 
+def _sweep_rows(text):
+    """The (epsilon, mean_fidelity, std_error) rows of a rendered sweep table."""
+    body = [line for line in text.splitlines() if not line.startswith("#")]
+    assert body[0] == "epsilon,mean_fidelity,std_error"
+    return [[float(v) for v in line.split(",")] for line in body[1:]]
+
+
 class TestFidelityVsStrength:
+    """The strength sweep: `sweep_table` rows, each `run_ensemble` at the designed t_pst."""
+
     def test_zero_strength_row(self, chains31):
-        rows = fidelity_vs_strength(chains31["linear"].couplings, [0.0], 5, SEED)
-        assert rows[0, 0] == 0.0
-        assert rows[0, 1] == pytest.approx(1.0, abs=1e-9)
-        assert rows[0, 2] == 0.0
+        chain = chains31["linear"]
+        res = run_ensemble(chain.couplings, model(eps=0.0, nav=5), [chain.t_pst])
+        assert res.mean_fidelity[0] == pytest.approx(1.0, abs=1e-9)
+        assert res.std_error[0] == 0.0
 
     def test_statistical_monotonicity(self, chains31):
-        eps = np.arange(0.0, 0.31, 0.05)
-        rows = fidelity_vs_strength(chains31["linear"].couplings, eps, 60, SEED)
-        means, errs = rows[:, 1], rows[:, 2]
-        for i in range(len(eps) - 1):
+        chain = chains31["linear"]
+        rows = [
+            run_ensemble(chain.couplings, model(eps=eps, nav=60), [chain.t_pst])
+            for eps in np.arange(0.0, 0.31, 0.05)
+        ]
+        means = [row.mean_fidelity[0] for row in rows]
+        errs = [row.std_error[0] for row in rows]
+        for i in range(len(rows) - 1):
             slack = 2.0 * np.hypot(errs[i], errs[i + 1])
             assert means[i + 1] <= means[i] + slack
 
@@ -291,28 +350,36 @@ class TestFidelityVsStrength:
         seed=st.integers(0, 2**64 - 1),
     )
     def test_rows_are_ensembles_at_the_clean_t_pst(self, chains31, name, strengths, nav, seed):
-        couplings = chains31[name].couplings
-        t_pst = pst_time(Spectrum(couplings.eigenvalues())).t_pst
-        rows = fidelity_vs_strength(couplings, strengths, nav, seed)
-        for eps, row in zip(strengths, rows):
-            direct = run_ensemble(couplings, model(eps=eps, nav=nav, seed=seed), [t_pst])
-            assert row.tolist() == [eps, direct.mean_fidelity[0], direct.std_error[0]]
+        chain = chains31[name]
+        rows = _sweep_rows(sweep_table(chain, [model(eps=eps, nav=nav, seed=seed) for eps in strengths]))
+        for eps, row in zip(strengths, rows, strict=True):
+            direct = run_ensemble(chain.couplings, model(eps=eps, nav=nav, seed=seed), [chain.t_pst])
+            assert row == [eps, direct.mean_fidelity[0], direct.std_error[0]]
 
-    def test_times_the_chain_once(self, chains31, monkeypatch):
-        timed = []
+    def test_makes_no_pst_time_call(self, chains31, monkeypatch):
+        def forbidden(spectrum):
+            raise AssertionError("a sweep timed the chain again")
 
-        def counted(spectrum):
-            timed.append(spectrum)
-            return pst_time(spectrum)
+        for module in (disorder, spectra):
+            monkeypatch.setattr(module, "pst_time", forbidden)
+        strengths = [0.0, 0.01, 0.05, 0.1, 0.15, 0.2, 0.3]
+        rows = _sweep_rows(sweep_table(chains31["linear"], [model(eps=eps, nav=3) for eps in strengths]))
+        assert [row[0] for row in rows] == strengths
 
-        monkeypatch.setattr(disorder, "pst_time", counted)
-        fidelity_vs_strength(chains31["linear"].couplings, [0.0, 0.01, 0.05, 0.1, 0.15, 0.2, 0.3], 3, SEED)
-        assert len(timed) == 1
-
-    def test_negative_strength_rejected(self, chains31):
+    def test_negative_strength_rejected(self, chains31, monkeypatch):
+        solved = []
+        monkeypatch.setattr(disorder, "end_to_end", lambda c: solved.append(c))
         for strengths in ([-0.1], [0.1, np.nan], [np.inf]):
             with pytest.raises(ValueError, match="finite and non-negative"):
-                fidelity_vs_strength(chains31["linear"].couplings, strengths, 5, SEED)
+                sweep_table(chains31["linear"], [model(eps=eps, nav=5) for eps in strengths])
+        assert solved == []
+
+    @pytest.mark.parametrize("models", [
+        [], [model(eps=0.1, nav=5), model(eps=0.2, nav=6)], [model(seed=1), model(seed=2)],
+    ], ids=["empty", "nav", "seed"])
+    def test_models_must_share_one_ensemble(self, chains31, models):
+        with pytest.raises(ValueError, match="strength|share"):
+            sweep_table(chains31["linear"], models)
 
 
 class TestPerturbedSpectrumStructure:

@@ -13,6 +13,7 @@ from pstchain.dynamics import (
     ORTHONORMALITY_TOL,
     PHASE_BLOCK,
     EigenSystem,
+    FidelityTrace,
     averaged_fidelity,
     diagonalize,
     end_to_end,
@@ -56,6 +57,13 @@ class TestDiagonalize:
         scale = np.abs(eig.eigenvalues).max()
         near_zero = np.abs(eig.eigenvalues) < 1e-13 * scale
         assert near_zero.sum() == 1
+
+    @pytest.mark.parametrize("values,vectors", [
+        ([np.nan, 1.0], np.eye(2)), ([0.0, 1.0], [[np.nan, 0.0], [0.0, 1.0]]),
+    ], ids=["nan-level", "nan-vector"])
+    def test_nan_rejected(self, values, vectors):
+        with pytest.raises(ValueError, match="ascending|orthonormal"):
+            EigenSystem(eigenvalues=values, eigenvectors=vectors)
 
     def test_orthonormality_validated(self):
         with pytest.raises(ValueError, match="orthonormal"):
@@ -268,6 +276,13 @@ class TestAveragedFidelity:
         with pytest.raises(ValueError):
             averaged_fidelity(-0.2)
 
+    @pytest.mark.parametrize("amplitude", [
+        np.nan, [0.5, np.nan], np.inf, [-np.inf, 0.5], [0.5, 1.5],
+    ], ids=["nan", "nan-in-array", "inf", "-inf-in-array", "above-one-in-array"])
+    def test_nan_and_out_of_range_arrays_rejected(self, amplitude):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            averaged_fidelity(amplitude)
+
     def test_vectorized(self):
         a = np.array([0.0, 0.5, 1.0])
         np.testing.assert_allclose(
@@ -276,6 +291,13 @@ class TestAveragedFidelity:
 
 
 class TestFidelityTrace:
+    @pytest.mark.parametrize("amplitude", [
+        [np.nan, 1.0], [0.5, np.inf], [-0.1, 0.5], [0.5, 1.1],
+    ], ids=["nan", "inf", "negative", "above-one"])
+    def test_amplitude_outside_the_unit_interval_rejected(self, amplitude):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            FidelityTrace(times=[0.0, 1.0], amplitude_abs=amplitude, fidelity=[1.0, 1.0])
+
     def test_two_site_closed_form(self):
         J = 1.3
         transfer = end_to_end(CouplingSet([J]))

@@ -11,9 +11,10 @@ from pstchain.tableio import render_table
 SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "tools" / "product_diff.py"
 
 
-def _write(directory, name, values, t_pst=2.0):
+def _write(directory, name, values, t_pst=2.0, params=None):
     directory.mkdir(exist_ok=True)
-    text = render_table({"results": {"t_pst": t_pst}}, {"time": [0.0, 1.0], "value": values})
+    metadata = {"params": params or {}, "results": {"t_pst": t_pst}}
+    text = render_table(metadata, {"time": [0.0, 1.0], "value": values})
     (directory / name).write_text(text)
 
 
@@ -47,6 +48,23 @@ def test_changed_value_prints_its_relative_difference(dirs):
     fields = {line.split()[0]: line.split()[-1] for line in lines[1:]}
     # |0.375 - 0.25| / 0.5 and |2.5 - 2.0| / 2.5
     assert fields == {"time": "0.0e+00", "value": "2.5e-01", "results.t_pst": "2.0e-01"}
+
+
+def test_changed_params_print_old_and_new(dirs):
+    old, new = dirs
+    _write(old, "a.csv", [0.5, 0.25], params={"eps": 0.01, "nav": 5, "sweep": [0.1]})
+    _write(new, "a.csv", [0.5, 0.25], params={"nav": 6, "seed": 3, "sweep": [0.1]})
+    done = _run(old, new)
+    # a header change alone leaves the exit status to the columns and results
+    assert done.returncode == 0
+    lines = [" ".join(line.split()) for line in done.stdout.splitlines()]
+    assert lines[:4] == [
+        "a.csv bytes differ",
+        "params.eps 0.01 -> (absent)",
+        "params.nav 5 -> 6",
+        "params.seed (absent) -> 3",
+    ]
+    assert all(line.endswith("0.0e+00") for line in lines[4:]) and len(lines) == 7
 
 
 def test_file_on_one_side_only_exits_1(dirs):

@@ -16,6 +16,7 @@ import hashlib
 import pytest
 
 from pstchain.cli import EXIT_OK, main
+from pstchain.disorder import echo_times
 from pstchain.pipeline import STANDARD_FAMILIES
 from pstchain.tableio import read_table
 
@@ -25,11 +26,11 @@ PINNED_SHA256 = {
     "chain_quadratic_boundary.csv": "3ad951ad2ceedc114cec2e47901d76371d90c703d2f331f506db369378b8c16a",
     "chain_sqrt_boundary.csv": "bf33908802d37a6f1db5573d0159ad817a52714efcf5ae2d2d165aa0b63c3089",
     "chain_sqrt_center.csv": "0a99f557791a1f2fbaabff16ad6559df55a586905ea2c164e854396502e91120",
-    "echoes_linear.csv": "f6d9bdc74bd43072658bc56fa24e51625b25b7388b4d89e1911654e88e8391f0",
-    "echoes_quadratic.csv": "5789c86b6b23642fac09e86841caafb9729304c222411562ddad89aebe0e1527",
-    "echoes_quadratic_boundary.csv": "27c79a8d52ca71f9bbfc2b98d5747847b8eb6bbc0c20b741198f3b1dde1ea973",
-    "echoes_sqrt_boundary.csv": "245ed4330ae276191a0103bc03b1fd878072adaf538a62fdf0c302a93fa3a2e4",
-    "echoes_sqrt_center.csv": "5a72de24e90ee81a0e8ab441fd53669be49882e9e7976bb1e348a713c284d8bc",
+    "echoes_linear.csv": "3107e4d184c4de0b5f39301d71f26033bef25b319818713a6ecf48c59140d3e0",
+    "echoes_quadratic.csv": "55c6bf02ae1810756ae9702a8205f6ce797c42361d76bcceb2770440520874a4",
+    "echoes_quadratic_boundary.csv": "127a95eb387ed3bd8b658dd6a4a2f1c60297288e8ecb95fbae1ed838925d3ad4",
+    "echoes_sqrt_boundary.csv": "0adefce88deba62629f594464ad49d1ee181d3572f03ebb0c7e20a4259c6872f",
+    "echoes_sqrt_center.csv": "69449672226a0c191fda54317b96de760ed96e7c10ee733faca6bb24c2abfef4",
     "ensemble_trace_linear.csv": "c80d181f35aee30bae97d7332489f6311b0a2bfa137d7b3ecacb62f50a726eee",
     "ensemble_trace_quadratic.csv": "3a19070445693775509e785b907a1961d082ce85d85158b1a4384cd8247b840e",
     "ensemble_trace_quadratic_boundary.csv": "5b0842b0ca9f4641a2fb72db7636b78801f5ebffc9bd565542fccdf74b3aae8b",
@@ -50,11 +51,11 @@ PINNED_SHA256 = {
     "spectrum_quadratic_boundary.csv": "e4956393819c30662e0c97bb340092869e800cbacb3c09556c0eeb9137cd6b1d",
     "spectrum_sqrt_boundary.csv": "1b67ef10e6b1d3e7a8d812e1caccb74a046cb4a36974686a5f06e5e586c7693c",
     "spectrum_sqrt_center.csv": "e954b8a66703495b75a5abc65019f51b9d634df05292fb12436ef8fd8eb46e16",
-    "strength_sweep_linear.csv": "5764073ba40bbd2b6d4b3aa069116c9c9bd89394b8ea81f6f3cac0a210931745",
-    "strength_sweep_quadratic.csv": "2981dba97a08d0ace8885cbad2c5f41f7a19006faa78d5cf22026521fd8b6125",
-    "strength_sweep_quadratic_boundary.csv": "cc4cc66fb190c338b7dad51eb072d35bbcaa0f16817ec2e80ab3c4b53839f7df",
-    "strength_sweep_sqrt_boundary.csv": "394a52affaa45fcb0e0c11491c9f5982a96a1f6faeffd894c6028e792b52be8b",
-    "strength_sweep_sqrt_center.csv": "55cfd2c58fa332874b7358507436ffe58b58cebc2d8f5a40e180fb649fb8ecbd",
+    "strength_sweep_linear.csv": "0d1145aa537f28fa09934e88c75d5bd2f765f218f92ce3154da5897e541e913c",
+    "strength_sweep_quadratic.csv": "205659339a79c3129656c162510cee7bebfe2eeaa3714d2d4540e790f7d598d3",
+    "strength_sweep_quadratic_boundary.csv": "45395b603161f44cdbc47e2f0a15716b7532463a374d587dfb6aeb2b98bc6386",
+    "strength_sweep_sqrt_boundary.csv": "e41f42ef13cf8a760bcc0439bcae73e6c332048e8d1fd3d759513520e763dc9e",
+    "strength_sweep_sqrt_center.csv": "b14733165a6d6f6ff8092d62ced409d9f1f438466a563c4933f94442a9b82b4d",
     "trace_linear.csv": "b18cb811c7cb3d7fa9065421419b64de6d939b36ec169a500a19cd91cabdf793",
     "trace_quadratic.csv": "8bffabe663c41fc7b3ce0270e1592c87cc5631b42eb49ff11ae42b3689a6783e",
     "trace_quadratic_boundary.csv": "e2133853dfcad8327f926eec70e87c109ec23892f163e4ebbb5dd9d132387801",
@@ -73,11 +74,11 @@ PINNED_SHA256_N31 = {
     "chain_quadratic_boundary.csv": "be4db3d5fc52f6878362a8aaefcb581d4027b5200447abae74762c0e24a6ef66",
     "chain_sqrt_boundary.csv": "bbe711a876e01fc0f0e4c6b3803e7b224e27f10242afbe3ee8b0b1eb28e5abcb",
     "chain_sqrt_center.csv": "8d6769f320b408c07ce2674eb87719bb862ce9241ceecb9b2c12a064bd1d194d",
-    "echoes_linear.csv": "b6a270b0bf321bd63092f1cd0428e43f4ae72db1cc45e140c59ceb364e493767",
-    "echoes_quadratic.csv": "ed4f277cd5e4a1b62eb2f718a9b734f3691ba987d0c91c99b7aba9400462afec",
-    "echoes_quadratic_boundary.csv": "02ec55a92d0f6a3808141bd9091f929d80d6e7fcc9fca5059256afaf4e7d2be6",
-    "echoes_sqrt_boundary.csv": "9a4db33a5ca15d4bf87ba6d07c4452f445dd56e6e44179b721840ef04f2f794e",
-    "echoes_sqrt_center.csv": "8a9fe5afae54c2ca75d7a02ace603e5f706c503134c0e3a49064674c0a5e606f",
+    "echoes_linear.csv": "719afd0cbca28419a09dcc0486c5a704b40689afaa11709a99fd0e7c9eea3e42",
+    "echoes_quadratic.csv": "e76f7b68c7c8f796803ea8457dced87a41fe798ff6250d38e1250a6eb9fd2d1a",
+    "echoes_quadratic_boundary.csv": "2626cddb37471811f8340fed750d5897ff3fbd41da5a54f8f4d32eae67b79e98",
+    "echoes_sqrt_boundary.csv": "8c5c96f886fb4055505579a0c0ece8d68b464464a946f381f7d6f8e94ad55637",
+    "echoes_sqrt_center.csv": "071b7fc6a8f7730ad6bf1b16e1a545d4854a0dab35564f0a0fb9c24db4e41d00",
     "ensemble_trace_linear.csv": "d4adf68b4fdb056960abf467f181223d6c83edf51e9b056a5079a51a00d6fe1e",
     "ensemble_trace_quadratic.csv": "86e67a6dbf2b0f21bd9bd0fed183d5978cc8d8af26e07d62b02780c4b421e2a5",
     "ensemble_trace_quadratic_boundary.csv": "0397937787ccf568272d3122137f4a6a7a2dd4212ccad480f2c0fd19c5895abb",
@@ -98,11 +99,11 @@ PINNED_SHA256_N31 = {
     "spectrum_quadratic_boundary.csv": "d627a604eb65f996aef4359b4ed9456b9c254c953013742e25f9262a32956bed",
     "spectrum_sqrt_boundary.csv": "687025d28dec57827dcfc162e96ecd688ff0ffed812c290206a73a11bb9e6d8f",
     "spectrum_sqrt_center.csv": "468c4409a0ed2e08aac79541d45ebcd496dff7ada6b40954a60c4b00331f50d3",
-    "strength_sweep_linear.csv": "213d321fd34970da96597379189660f0f91bf77b2ccf5d4d34d59ba4ba51ba03",
-    "strength_sweep_quadratic.csv": "9607a2f9a3c78c2cc4af9992ad6f74c4783e4e47eb43ee7f447be9b3e140abe5",
-    "strength_sweep_quadratic_boundary.csv": "e2d4cb02d5f149be2bacef8acce5a6e32895a534c44191f3308865a3f536d6a8",
-    "strength_sweep_sqrt_boundary.csv": "89dacfa7f20626b7a38b84bb0191d4c6c447a528f51890b3de7d2e929c43743c",
-    "strength_sweep_sqrt_center.csv": "0a126a5c0f38809a8ff85351b27f72d38c49777fb2d38d72e93b6c272aa01d4d",
+    "strength_sweep_linear.csv": "3916cc694a0d949fe97531dd399092f303c1e1ac433dddbe063e3e4686a68e31",
+    "strength_sweep_quadratic.csv": "ac3b4fcc84f8bfedc4e8ac99c9e03b5e3974a455ef5b10fde7f1268031ea5d54",
+    "strength_sweep_quadratic_boundary.csv": "b245aac0efc40e9a400e6458ab9fe459924f4f495f9cd3daba0c7a0d61226157",
+    "strength_sweep_sqrt_boundary.csv": "27092b6ed9eb4f1e93047dabc7b031011a38e2c51c601887b26c157f276efd1b",
+    "strength_sweep_sqrt_center.csv": "6c3bd5ca29b50f36a5c90cb29f5d0721b9d36244b5a22b5f5029aa018487308a",
     "trace_linear.csv": "bf3b3e6893ede8416d7c66e39f8fc3dd7678f4b4375ef6b5e7921562a9d3e2f2",
     "trace_quadratic.csv": "8a6a42607dedbf50d28923b23e8ea63ea49e458c7e97534c1686b6e18ea645dd",
     "trace_quadratic_boundary.csv": "8da7ab38c743036922f737af923804f2f1b25743a8c0af03ddda19e45cb5fdbb",
@@ -129,9 +130,9 @@ SUBCOMMAND_SHA256 = {
     "ensemble --family center --alpha 2 --n 11 --eps 0.02 --nav 10 --seed 3":
         "9dc5d01ed2ec3320c72a148e87b218b9802691e543200dbf7b1ec2480a5f080f",
     "ensemble --family center --alpha 2 --n 11 --eps 0.02 --nav 10 --seed 3 --echoes 4":
-        "9ee852172bf7cb18906c14c491986b87072d5da78b42cec007c99c15f71cf3dd",
+        "326e1a376a529b98b2d2b5c092eddc6011c7e87bb2c14e379af373a3aca45f18",
     "ensemble --family center --alpha 2 --n 11 --eps 0.02 --nav 10 --seed 3 --sweep 0.05,0.1":
-        "17de3246119a0ceb000d6d3daaf436bc17349e5e66e6be3ead980d2154184ff6",
+        "4419df2a7553e941247455e78e20806cdb1073d1338b4964452b00cfc05296d8",
     "analyze --family center --alpha 2 --n 11 --localization":
         "c9fe8e72351b0ebea98d0546e44b7c821d5ea5cd5bac66067117781f87ae76ec",
     "analyze --family center --alpha 2 --n 11 --level-shifts --eps 0.02 --nav 10 --seed 3":
@@ -183,6 +184,14 @@ def test_production_size_sweep_starts_at_the_first_echo(production_products, nam
     assert _column(sweep, "epsilon")[0] == 0.01
     for field in ("mean_fidelity", "std_error"):
         assert _column(sweep, field)[0] == _column(echoes, field)[0]
+
+
+@pytest.mark.parametrize("name", STANDARD_FAMILIES)
+def test_production_size_echo_times_are_the_designed_t_pst(production_products, name):
+    # the header's t_pst is the designed one, and the echoes are timed by it alone
+    metadata, columns, data = read_table(production_products / f"echoes_{name}.csv")
+    times = data[:, columns.index("time")]
+    assert times.tolist() == echo_times(metadata["results"]["t_pst"], 9).tolist()
 
 
 @pytest.mark.parametrize("command", SUBCOMMAND_SHA256)

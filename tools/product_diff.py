@@ -3,16 +3,18 @@
     python tools/product_diff.py OLD_DIR NEW_DIR
 
 For every CSV under either directory (matched by relative path) it prints
-whether the bytes match.  For a file whose bytes differ it then prints, for
-each column and for each numeric field of the header's `results`, the largest
-|new - old| relative to the largest |value| that field takes in either file.
-This is the diff a byte-changing re-pin of tests/test_products.py is checked
-against.  Exits 1 if a file is missing on one side or a field changed shape,
-else 0.
+whether the bytes match.  For a file whose bytes differ it then prints each
+header `params` key that was added, removed or changed, as old -> new, and,
+for each column and for each numeric field of the header's `results`, the
+largest |new - old| relative to the largest |value| that field takes in
+either file.  This is the diff a byte-changing re-pin of
+tests/test_products.py is checked against.  Exits 1 if a file is missing on
+one side or a column or `results` field changed shape, else 0.
 """
 
 from __future__ import annotations
 
+import json
 import sys
 from pathlib import Path
 
@@ -22,9 +24,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from pstchain.tableio import read_table  # noqa: E402
 
 
-def _fields(path: Path) -> dict:
+def _fields(metadata: dict, columns: list[str], data: np.ndarray) -> dict:
     """Columns by name, then each numeric `results` field as `results.<name>`."""
-    metadata, columns, data = read_table(path)
     fields = {name: data[:, i] for i, name in enumerate(columns)}
     for name, value in sorted(metadata.get("results", {}).items()):
         arr = np.asarray(value)
@@ -34,9 +35,12 @@ def _fields(path: Path) -> dict:
 
 
 def _compare(old: Path, new: Path) -> tuple[list[str], bool]:
-    """One line per field of a differing pair, and whether every field kept its shape."""
-    a, b = _fields(old), _fields(new)
-    lines, ok = [], True
+    """One line per changed `params` key and per field of a differing pair, and
+    whether every field kept its shape."""
+    old_table, new_table = read_table(old), read_table(new)
+    lines = _params_changes(old_table[0].get("params", {}), new_table[0].get("params", {}))
+    a, b = _fields(*old_table), _fields(*new_table)
+    ok = True
     for name in list(a) + [n for n in b if n not in a]:
         if name not in a or name not in b or a[name].shape != b[name].shape:
             lines.append(f"    {name:<28} shape or presence differs")
@@ -47,6 +51,16 @@ def _compare(old: Path, new: Path) -> tuple[list[str], bool]:
         rel = delta / scale if scale > 0 else delta
         lines.append(f"    {name:<28} max|d|/max|v| {rel:.1e}")
     return lines, ok
+
+
+def _params_changes(old: dict, new: dict) -> list[str]:
+    """One line, old -> new, per header parameter added, removed or changed."""
+    lines = []
+    for key in sorted(old.keys() | new.keys()):
+        before, after = (json.dumps(p[key]) if key in p else "(absent)" for p in (old, new))
+        if before != after:
+            lines.append(f"    params.{key:<21} {before} -> {after}")
+    return lines
 
 
 def main(argv: list[str]) -> int:
