@@ -139,12 +139,10 @@ def window_width(
     As |f_N''| <= M2, a dip below a_min between two samples that the walk does
     not see is shallower than M2 h^2 / 8 = (WINDOW_STEP pi)^2 / 8.
     """
-    if not 0.5 < threshold < 1.0:
-        raise ValueError("threshold must lie in (0.5, 1)")
+    a_min = _amplitude_floor(threshold, "threshold")
     if not 0 < t_pst < np.inf:
         raise ValueError("t_pst must be positive and finite")
     _require_mirrored(transfer)
-    a_min = np.sqrt(6.0 * threshold - 2.0) - 1.0
     peak = _transfer_abs(transfer, np.array([t_pst]))[0]
     if peak < a_min:
         raise NoWindowError(f"F({t_pst:g}) = {averaged_fidelity(peak):.6f} is below {threshold}")
@@ -173,12 +171,10 @@ def detect_first_maximum(
     maximum above a_floor (|f_N| at min_fidelity); `_first_fall` solves those
     brackets on d|f_N|/dt.  A maximum and minimum closer than h are not seen.
     """
-    if not 0.5 < min_fidelity < 1.0:
-        raise ValueError("min_fidelity must lie in (0.5, 1)")
+    lowest = _amplitude_floor(min_fidelity, "min_fidelity") - 0.5 * (0.5 * WINDOW_STEP * np.pi) ** 2
     if not 0 < t_end < np.inf:
         raise ValueError("t_end must be positive and finite")
     _require_mirrored(transfer)
-    lowest = np.sqrt(6.0 * min_fidelity - 2.0) - 1.0 - 0.5 * (0.5 * WINDOW_STEP * np.pi) ** 2
     slope = lambda t: _transfer_abs(transfer, t, slope=True)  # noqa: E731
     for times, amp in _walk(transfer, 0.0, 1, t_end):
         rate = slope(times)
@@ -189,6 +185,13 @@ def detect_first_maximum(
             if f_peak > min_fidelity:
                 return WindowMetrics(first_max_time=t_peak, first_max_fidelity=f_peak)
     raise NoEchoError(f"no local maximum above {min_fidelity} found in (0, {t_end:g}]")
+
+
+def _amplitude_floor(fidelity: float, name: str) -> float:
+    """|f_N| = sqrt(6 F - 2) - 1 at which F = fidelity; ValueError naming it unless F lies in (0.5, 1)."""
+    if not 0.5 < fidelity < 1.0:
+        raise ValueError(f"{name} must lie in (0.5, 1)")
+    return np.sqrt(6.0 * fidelity - 2.0) - 1.0
 
 
 def _walk(transfer, start: float, direction: int, span: float):

@@ -12,7 +12,9 @@ Exit codes: 0 success, 2 configuration error (including an output path that
 cannot be written and a grid or echo count too large to allocate), 3 numerical
 failure (incommensurate spectrum, unstable reconstruction or underflowing
 spectral weights, an eigenvalue solve that does not converge, end-to-end
-products failing their checks, no read-out window or no echo).
+products failing their checks, no read-out window or no echo).  A handler
+checks every flag its mode reads, with the function that reads it later,
+before it designs the chain, so a bad flag exits 2 where the design exits 3.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import numpy as np
 from . import __version__
 from .analysis import (
     WINDOW_THRESHOLD,
+    _amplitude_floor,
     detect_first_maximum,
     level_shift_stats,
     participation_ratio,
@@ -34,7 +37,7 @@ from .analysis import (
     window_width,
 )
 from .disorder import RNG_ALGORITHM_ID, DisorderModel, echo_times, run_ensemble
-from .dynamics import fidelity_trace
+from .dynamics import end_to_end, fidelity_trace
 from .errors import NumericalError
 from .pipeline import STANDARD_FAMILIES, DesignedChain, SpectrumStage, design_chain, design_standard, spectrum_stage
 from .spectra import BASE_SEARCH_TOLERANCE, FAMILIES, MAX_SCAN_CANDIDATES, SpectrumSpec
@@ -242,7 +245,7 @@ def chain_table(chain: DesignedChain) -> str:
 
 def simulate_table(chain: DesignedChain, periods: float, points_per_period: int) -> str:
     n_points = _grid_points(periods, points_per_period)
-    trace = fidelity_trace(chain.end_to_end, 0.0, periods * chain.t_pst, n_points)
+    trace = fidelity_trace(end_to_end(chain.couplings), 0.0, periods * chain.t_pst, n_points)
     params = {"periods": periods, "points_per_period": points_per_period}
     return render_table(
         _metadata("simulate", chain.stage, params, _chain_results(chain)),
@@ -289,10 +292,8 @@ def echoes_table(chain: DesignedChain, model: DisorderModel, echoes: int) -> str
 def sweep_table(chain: DesignedChain, models: list[DisorderModel]) -> str:
     """Mean fidelity at the designed t_pst, one row per model; the models share
     n_realizations and base_seed, so the uniform draws are paired across strengths."""
-    if not models:
-        raise ValueError("--sweep needs at least one strength")
-    if len({(model.n_realizations, model.base_seed) for model in models}) > 1:
-        raise ValueError("the models of a sweep must share n_realizations and base_seed")
+    if len({(model.n_realizations, model.base_seed) for model in models}) != 1:
+        raise ValueError("a sweep needs at least one model, and its models must share n_realizations and base_seed")
     strengths = [model.epsilon for model in models]
     rows = [run_ensemble(chain.couplings, model, [chain.t_pst]) for model in models]
     return render_table(
@@ -339,7 +340,7 @@ def level_shifts_table(chain: DesignedChain, model: DisorderModel) -> str:
 
 
 def window_table(chain: DesignedChain, threshold: float) -> str:
-    transfer = chain.end_to_end
+    transfer = end_to_end(chain.couplings)
     first = detect_first_maximum(transfer, 1.05 * chain.t_pst)
     return render_table(
         _metadata("analyze-window", chain.stage, {"threshold": threshold}, _chain_results(chain)),
@@ -364,34 +365,37 @@ def cmd_chain(args) -> None:
 
 
 def cmd_simulate(args) -> None:
+    _grid_points(args.periods, args.points_per_period)
     _write(args.out, simulate_table(_design(args), args.periods, args.points_per_period))
 
 
 def cmd_ensemble(args) -> None:
-    # the disorder inputs are checked before the chain is designed
     if args.sweep is not None:
         strengths = [float(tok) for tok in args.sweep.split(",") if tok.strip()]
+        if not strengths:
+            raise ValueError("--sweep needs at least one strength")
         models = [DisorderModel(epsilon=eps, n_realizations=args.nav, base_seed=args.seed) for eps in strengths]
         text = sweep_table(_design(args), models)
     else:
         model = DisorderModel(epsilon=args.eps, n_realizations=args.nav, base_seed=args.seed)
-        chain = _design(args)
         if args.echoes is not None:
-            text = echoes_table(chain, model, args.echoes)
+            echo_times(1.0, args.echoes)
+            text = echoes_table(_design(args), model, args.echoes)
         else:
-            text = ensemble_trace_table(chain, model, args.periods, args.points_per_period)
+            _grid_points(args.periods, args.points_per_period)
+            text = ensemble_trace_table(_design(args), model, args.periods, args.points_per_period)
     _write(args.out, text)
 
 
 def cmd_analyze(args) -> None:
-    chain = _design(args)
-    if args.localization:
-        text = localization_table(chain)
-    elif args.level_shifts:
+    if args.level_shifts:
         model = DisorderModel(epsilon=args.eps, n_realizations=args.nav, base_seed=args.seed)
-        text = level_shifts_table(chain, model)
+        text = level_shifts_table(_design(args), model)
+    elif args.window:
+        _amplitude_floor(args.threshold, "threshold")
+        text = window_table(_design(args), args.threshold)
     else:
-        text = window_table(chain, args.threshold)
+        text = localization_table(_design(args))
     _write(args.out, text)
 
 

@@ -7,10 +7,10 @@ commensurate chains are exactly periodic instead of drifting the way a step
 integrator would.
 
 End-to-end transfer needs only the levels omega_k and the products
-a_{k,1} a_{k,N}, which `end_to_end` takes from the exactly mirrored levels
-of `CouplingSet.eigenvalues` alone, and `_transfer_abs` is the one evaluator
-of |f_N(t)| built on them.  The full eigensystem (`diagonalize`) is solved
-only for the localization table, the one product that reads eigenvectors.
+a_{k,1} a_{k,N}; `end_to_end` takes them from the levels alone (the read-only,
+exactly mirrored array `CouplingSet.eigenvalues` solves once per set), and
+`_transfer_abs` is the one evaluator of |f_N(t)| built on them.  Only the
+localization table solves the full eigensystem (`diagonalize`).
 """
 
 from __future__ import annotations
@@ -127,8 +127,8 @@ def end_to_end(couplings: CouplingSet) -> tuple[np.ndarray, np.ndarray]:
 
     Raises ProductIdentityError when computed levels coincide, the error
     estimate exceeds its bound or a check fails.  Both arrays are read-only
-    and exactly mirrored: levels[::-1] == -levels and
-    products[::-1] == (-1)^(N-1) products.
+    and exactly mirrored (the levels are the coupling set's own shared array):
+    levels[::-1] == -levels and products[::-1] == (-1)^(N-1) products.
     """
     levels = couplings.eigenvalues()
     n = levels.size
@@ -168,7 +168,6 @@ def end_to_end(couplings: CouplingSet) -> tuple[np.ndarray, np.ndarray]:
             f"end-to-end products of the {n}-site chain fail the completeness checks: "
             f"|sum P_k| = {total:.3g}, sum |P_k| = {mass:.17g}"
         )
-    levels.setflags(write=False)
     products.setflags(write=False)
     return levels, products
 

@@ -9,13 +9,14 @@ symmetric sector's squared centre components as products of ratios in
 couplings from the centre outward (Hochstadt, Arch. Math. 18, 201 (1967);
 de Boor & Golub, Linear Algebra Appl. 21, 245 (1978)).
 
-`CouplingSet.eigenvalues` is the one level solve of a chain; every reader
-takes its exactly mirrored levels as they come.
+`CouplingSet.eigenvalues` is the one level solve of a chain, made once per
+set; every reader shares its exactly mirrored, read-only levels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import LinAlgError, eigvalsh_tridiagonal
@@ -58,15 +59,22 @@ class CouplingSet:
     def eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues of the chain's zero-field tridiagonal matrix, exactly mirrored.
 
-        The chain is bipartite, so the solver's levels are symmetrized once, as
-        0.5 * (raw - raw[::-1]): levels == -levels[::-1] exactly, with an exact 0
-        at the centre for odd N.  NumericalError if the solver does not converge.
+        Solved once per set and shared read-only by every call.  The chain is
+        bipartite, so the solver's levels are symmetrized once, as 0.5 * (raw -
+        raw[::-1]): levels == -levels[::-1] exactly, with an exact 0 at the centre
+        for odd N.  NumericalError, never cached, if the solver does not converge.
         """
+        return self._levels
+
+    @cached_property
+    def _levels(self) -> np.ndarray:
         try:
             raw = eigvalsh_tridiagonal(np.zeros(self.n_sites), self.couplings)
         except LinAlgError as exc:
             raise NumericalError(f"eigenvalues of the {self.n_sites}-site chain: {exc}") from None
-        return 0.5 * (raw - raw[::-1])
+        levels = 0.5 * (raw - raw[::-1])
+        levels.setflags(write=False)
+        return levels
 
     def scaled(self, factor: float) -> "CouplingSet":
         if not factor > 0:
@@ -119,9 +127,9 @@ def reconstruct_couplings(spectrum: Spectrum) -> CouplingSet:
 
     Raises ReconstructionUnstableError, carrying the 1-based chain bond index
     (the left one of its mirror pair), when a squared off-diagonal coefficient
-    falls below BREAKDOWN_TOLERANCE * omega_max**2 or overflows.  Both sides
-    of that test scale alike, so the result does not depend on the energy
-    scale.  `quadratic` at N = 4001 stops there, at its end bond
+    falls below BREAKDOWN_TOLERANCE * omega_max**2.  The recursion runs on
+    levels scaled by a power of two, so the result does not depend on the
+    energy scale.  `quadratic` at N = 4001 stops there, at its end bond
     (beta^2 / omega_max^2 = 9.1e-14 for J_1).
     """
     alphas, betas = _lanczos_coefficients(*spectral_weights(spectrum))
@@ -138,9 +146,10 @@ def reconstruct_couplings(spectrum: Spectrum) -> CouplingSet:
 def verify_reconstruction(couplings: CouplingSet, spectrum: Spectrum) -> float:
     """Max relative mismatch between the chain's eigenvalues and the target.
 
-    Forward-diagonalizes the coupling set (independent of the reconstruction
-    path) and returns max_k |omega_k(chain) - omega_k(target)| / omega_max
-    over the chain's exactly mirrored levels.
+    Solves the coupling set's levels (independent of the reconstruction path;
+    the set keeps them for every later reader) and returns
+    max_k |omega_k(chain) - omega_k(target)| / omega_max over those exactly
+    mirrored levels.
     """
     if couplings.n_sites != spectrum.n_sites:
         raise ValueError("coupling set and spectrum sizes are inconsistent")
@@ -154,12 +163,16 @@ def _lanczos_coefficients(
     """Three-term recursion coefficients of diag(omega) seeded by sqrt(weights).
 
     Full reorthogonalization (two passes per step) keeps the basis orthonormal
-    to machine precision at the chain lengths of interest.  The recursion runs
-    on a symmetric sector from its centre site outward, so a breakdown at
-    step j (1-based) of n levels is reported as chain bond n - j, the left one
-    of its mirror pair.
+    to machine precision at the chain lengths of interest.  The levels are
+    scaled by 2^-e (e the frexp exponent of omega_max) and the coefficients
+    back by 2^e, both exactly, so no square leaves the float range at any
+    energy scale.  The recursion runs on a symmetric sector from its centre
+    site outward, so a breakdown at step j (1-based) of n levels is reported
+    as chain bond n - j, the left one of its mirror pair.
     """
     n = omega.size
+    exponent = np.frexp(np.max(np.abs(omega)))[1]
+    omega = np.ldexp(omega, -exponent)
     omega_max = float(np.max(np.abs(omega)))
     v = np.sqrt(weights)
     v = v / np.linalg.norm(v)
@@ -190,4 +203,4 @@ def _lanczos_coefficients(
             )
         betas[j] = np.sqrt(beta_sq)
         basis[j + 1] = r / betas[j]
-    return alphas, betas
+    return np.ldexp(alphas, exponent), np.ldexp(betas, exponent)

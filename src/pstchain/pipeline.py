@@ -4,19 +4,15 @@ The standard workflow generates a spectrum family member at unit amplitude,
 snaps it commensurate if needed (the spectrum stage), solves the inverse
 eigenvalue problem, and then rescales spectrum and couplings jointly so that
 the largest coupling is exactly 1 (times rescale inversely).  A designed
-chain caches only its levels and end-to-end products; no eigenvector is
-solved here.
+chain caches nothing: its coupling set keeps the levels solved for the
+verification, and no eigenvector is solved here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-
-import numpy as np
 
 from .analysis import speed_ratio
-from .dynamics import end_to_end
 from .inverse_eigen import CouplingSet, reconstruct_couplings, verify_reconstruction
 from .spectra import (
     BASE_SEARCH_TOLERANCE,
@@ -72,11 +68,6 @@ class DesignedChain:
     @property
     def n_sites(self) -> int:
         return self.spec.n_sites
-
-    @cached_property
-    def end_to_end(self) -> tuple[np.ndarray, np.ndarray]:
-        """The clean chain's levels and end-to-end products, computed on first use."""
-        return end_to_end(self.couplings)
 
 
 def spectrum_stage(

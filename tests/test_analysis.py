@@ -331,7 +331,7 @@ class TestWindowWidth:
     def test_narrow_window_at_large_n(self, boundary_chains, boundary_rows, n_sites, expected):
         chain = boundary_chains[n_sites]
         width = boundary_rows[n_sites]["width"]
-        right, left = (_edge_40_digits(chain.end_to_end, 0.99, chain.t_pst + s * expected / 2) for s in (1, -1))
+        right, left = (_edge_40_digits(end_to_end(chain.couplings), 0.99, chain.t_pst + s * expected / 2) for s in (1, -1))
         assert float(right - left) == pytest.approx(expected, abs=5e-10)
         # the times near t_pst are doubles spaced about 2 u t_pst apart
         assert abs(width - float(right - left)) <= 8 * 2.0**-53 * chain.t_pst
@@ -418,7 +418,7 @@ class TestDetectFirstMaximum:
     def test_resolved_at_large_n(self, boundary_rows, boundary_chains, n_sites, time, fidelity):
         # a grid of 2000 points per t_pst read 197.97 (F 0.5818) and 1285.76 (F 0.5874)
         row = boundary_rows[n_sites]
-        root, reference = _peak_40_digits(boundary_chains[n_sites].end_to_end, time)
+        root, reference = _peak_40_digits(end_to_end(boundary_chains[n_sites].couplings), time)
         assert float(root) == pytest.approx(time, abs=1e-9)
         assert float(reference) == pytest.approx(fidelity, abs=1e-9)
         assert row["first_max_time"] == pytest.approx(float(root), rel=1e-13)

@@ -107,10 +107,9 @@ class TestChainCommand:
         assert dq[-1, 2] < dl[-1, 2]
 
     @pytest.mark.parametrize("amplitude,cause", [
-        ("1e300", "recursion coefficient overflowed"),
         # omega_max = 1.25e308: the levels are representable, their differences are not
         ("5e306", "level difference overflows"),
-    ], ids=["recursion", "level-differences"])
+    ], ids=["level-differences"])
     def test_overflow_exits_3_where_spectrum_succeeds(self, tmp_path, capsys, amplitude, cause):
         argv = ["--family", "center", "--alpha", "2", "--n", "11", "--amplitude", amplitude]
         code, _ = run(tmp_path, "c.csv", ["chain", *argv])
@@ -120,6 +119,15 @@ class TestChainCommand:
         assert cause in err
         code, out = run(tmp_path, "s.csv", ["spectrum", *argv])
         assert code == EXIT_OK and out.stat().st_size > 0
+
+    @pytest.mark.parametrize("amplitude", ["1e-300", "1e-170", "1e153", "1e300"])
+    def test_design_does_not_depend_on_the_amplitude(self, tmp_path, amplitude):
+        # unscaled, the recursion's squares leave the float range from 1e153 up and below about 1e-160
+        argv = ["chain", "--family", "center", "--alpha", "2", "--n", "31"]
+        code, out = run(tmp_path, "c.csv", [*argv, "--amplitude", amplitude])
+        assert code == EXIT_OK
+        _, _, data = read_table(out)
+        np.testing.assert_allclose(data[:, 1], design_chain(31, "center", 2.0).couplings.couplings, rtol=1e-12)
 
     @pytest.mark.parametrize("alpha,n_sites", [("3", "121"), ("4", "31"), ("5", "31")])
     def test_commensurate_spectrum_with_wide_gap_ratio_designs(self, tmp_path, alpha, n_sites):
@@ -148,13 +156,6 @@ class TestNumericalBreakdownExits3:
         assert main([command, "--family", "boundary", "--alpha", "18", "--n", "31"]) == EXIT_NUMERICAL
         err = capfd.readouterr().err
         assert err.startswith("error (DegenerateGapsError): ") and err.count("\n") == 1
-
-    @pytest.mark.parametrize("amplitude", ["1e153", "1e300"])
-    def test_overflowing_recursion(self, capfd, amplitude):
-        argv = ["chain", "--family", "center", "--alpha", "2", "--n", "11", "--amplitude", amplitude]
-        assert main(argv) == EXIT_NUMERICAL
-        err = capfd.readouterr().err
-        assert err.startswith("error (ReconstructionUnstableError): ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
         ["chain", "--amplitude", "1e-320"],
@@ -424,6 +425,22 @@ class TestConfigurationErrors:
         assert "epsilon" in err and designed == []
 
     @pytest.mark.parametrize("argv", [
+        ["analyze", "--level-shifts", "--eps", "5"],
+        ["analyze", "--level-shifts", "--nav", "0"],
+        ["analyze", "--window", "--threshold", "2"],
+        ["simulate", "--periods", "-1"],
+        ["ensemble", "--points-per-period", "1"],
+        ["ensemble", "--echoes", "0"],
+        ["ensemble", "--sweep", ","],
+    ], ids=["level-shifts-eps", "level-shifts-nav", "window-threshold", "simulate-periods",
+            "ensemble-points-per-period", "ensemble-echoes", "ensemble-sweep"])
+    def test_bad_flag_exits_2_before_a_failing_design(self, capsys, argv):
+        # this design exits 3 (DegenerateGapsError), so exit 2 shows the flag was checked first
+        assert main([*argv, "--family", "boundary", "--alpha", "18", "--n", "31"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
         ["--family", "center", "--alpha", "2", "--amplitude", "1e308"],
         ["--family", "boundary", "--alpha", "2", "--amplitude", "1e308"],
         ["--family", "boundary", "--alpha", "1000"],
@@ -510,6 +527,14 @@ class TestReproduceCommand:
             meta, columns, data = read_table(f)
             assert meta["tool"] == "pstchain"
             assert len(columns) > 0 and data.size > 0
+
+    def test_level_solves(self, tmp_path, monkeypatch):
+        # per family: the clean levels once, then one solve per realization of the
+        # trace (5), the echoes (5), the sweep (7 x 5) and the level shifts (5)
+        solve, solved = inverse_eigen.eigvalsh_tridiagonal, []
+        monkeypatch.setattr(inverse_eigen, "eigvalsh_tridiagonal", lambda d, e: solved.append(e) or solve(d, e))
+        assert main(["reproduce", "--outdir", str(tmp_path), "--n", "9", "--nav", "5", "--seed", "3"]) == EXIT_OK
+        assert len(solved) == 5 * (1 + 5 + 5 + 7 * 5 + 5) == 255
 
     def test_three_site_chains(self, tmp_path):
         # every family's 3-site chain has its first maximum at t_pst, in the

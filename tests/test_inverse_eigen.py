@@ -130,18 +130,13 @@ class TestReconstructCouplings:
         alphas, _ = _lanczos_coefficients(*spectral_weights(s))
         assert np.max(np.abs(alphas)) < 1e-10 * s.omega_max
 
-    @pytest.mark.parametrize("amplitude", [1e-12, 1e-100])
+    @pytest.mark.parametrize("amplitude", [1e-300, 1e-170, 1e-100, 1e-12, 1e153, 1e300])
     def test_design_is_independent_of_the_energy_scale(self, amplitude):
-        # the breakdown test weighs beta^2 against omega_max^2, both energies squared
+        # the recursion runs on levels scaled by a power of two, so beta^2 neither
+        # overflows nor underflows at any amplitude whose level differences are finite
         ref = design_chain(11, "center", 2.0).couplings.couplings
         scaled = design_chain(11, "center", 2.0, amplitude=amplitude).couplings.couplings
         np.testing.assert_allclose(scaled, ref, rtol=1e-12)
-
-    @pytest.mark.parametrize("amplitude", [1e153, 1e300])
-    def test_overflowing_recursion_is_numerical(self, amplitude):
-        s = generate_spectrum(SpectrumSpec(11, "center", 2.0, amplitude))
-        with pytest.raises(ReconstructionUnstableError, match="overflowed"):
-            reconstruct_couplings(s)
 
     def test_quadratic_ends_below_linear(self):
         quad = design_chain(31, "center", 2.0).couplings.couplings
@@ -151,12 +146,6 @@ class TestReconstructCouplings:
         assert quad[0] < lin[0]
         assert quad[-1] < lin[-1]
         assert quad[15] / quad[0] > lin[15] / lin[0]
-
-    def test_errors_name_the_chain_bond(self):
-        # the recursion starts at the centre: sector step 1 is bond m = 5
-        with pytest.raises(ReconstructionUnstableError, match="overflowed at bond 5 ") as exc:
-            design_chain(11, "center", 2.0, amplitude=1e153)
-        assert exc.value.site_index == 5
 
     def test_near_degenerate_pair_designs(self):
         e = 5e-9

@@ -7,8 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
-from pstchain import dynamics, pipeline, spectra
+from pstchain import dynamics, inverse_eigen, pipeline, spectra
+from pstchain.analysis import level_shift_stats
 from pstchain.cli import EXIT_OK, main
+from pstchain.disorder import DisorderModel
+from pstchain.dynamics import end_to_end
 from pstchain.errors import (
     DegenerateGapsError,
     NoEchoError,
@@ -20,6 +23,8 @@ from pstchain.errors import (
 )
 from pstchain.pipeline import STANDARD_FAMILIES, design_chain, design_standard, spectrum_stage
 from pstchain.spectra import SpectrumSpec, generate_spectrum
+
+from conftest import SEED
 
 
 def _record_calls(monkeypatch, module, name):
@@ -56,6 +61,17 @@ class TestDesignOnce:
         for _, chain in designed:
             assert solves[chain.couplings.couplings.tobytes()] == 1
         assert len(solved) == len(designed)  # only the localization tables read eigenvectors
+
+    def test_one_clean_level_solve_per_chain(self, monkeypatch):
+        solved = _record_calls(monkeypatch, inverse_eigen, "eigvalsh_tridiagonal")
+        chain = design_chain(31, "center", 2.0)
+        end_to_end(chain.couplings)
+        n_realizations = 20
+        level_shift_stats(chain.couplings, DisorderModel(0.01, n_realizations, SEED))
+        # the design's verification solves the clean levels; every later reader shares them
+        assert len(solved) == 1 + n_realizations
+        levels = chain.couplings.eigenvalues()
+        assert levels is chain.couplings.eigenvalues() and not levels.flags.writeable
 
     def test_design_solves_no_eigensystem(self, monkeypatch):
         solved = _record_calls(monkeypatch, dynamics, "diagonalize")
