@@ -231,7 +231,7 @@ def speed_ratio(t_pst: float, n_sites: int, j_max: float) -> float:
 
 
 def linear_reference_time(n_sites: int, j_max: float) -> float:
-    """Transfer-time benchmark pi N / (4 J_max) of the linear-spectrum chain."""
+    """Transfer-time benchmark pi N / (4 J_max) of the linear-spectrum chain, finite up to the largest J_max."""
     if not (n_sites > 0 and j_max > 0):
         raise ValueError("n_sites and j_max must be positive")
-    return float(np.pi * n_sites / (4.0 * j_max))
+    return float(np.pi * n_sites / 4.0 / j_max)

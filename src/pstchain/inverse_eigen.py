@@ -60,9 +60,9 @@ class CouplingSet:
         """Ascending eigenvalues of the chain's zero-field tridiagonal matrix, exactly mirrored.
 
         Solved once per set and shared read-only by every call.  The chain is
-        bipartite, so the solver's levels are symmetrized once, as 0.5 * (raw -
-        raw[::-1]): levels == -levels[::-1] exactly, with an exact 0 at the centre
-        for odd N.  NumericalError, never cached, if the solver does not converge.
+        bipartite, so the solver's levels are symmetrized once, halved first so that
+        no difference overflows: levels == -levels[::-1] exactly, with an exact 0 at
+        the centre for odd N.  NumericalError, never cached, if the solver does not converge.
         """
         return self._levels
 
@@ -72,7 +72,8 @@ class CouplingSet:
             raw = eigvalsh_tridiagonal(np.zeros(self.n_sites), self.couplings)
         except LinAlgError as exc:
             raise NumericalError(f"eigenvalues of the {self.n_sites}-site chain: {exc}") from None
-        levels = 0.5 * (raw - raw[::-1])
+        raw *= 0.5
+        levels = raw - raw[::-1]
         levels.setflags(write=False)
         return levels
 
@@ -91,27 +92,24 @@ def spectral_weights(spectrum: Spectrum) -> tuple[np.ndarray, np.ndarray]:
     block of S, with levels mu = omega[1::2].  The squared last components of
     S's eigenvectors are z_k^2 = prod_j r_kj with
     r_kj = (lambda_k - mu_j) / (lambda_k - lambda_{j + [j >= k]}).  Interlacing
-    puts every ratio in (0, 1), so the product needs no logarithms.  The
-    weights come normalized to unit sum; a weight that underflows to zero, or
-    a level difference past the float range, raises
-    ReconstructionUnstableError.
+    puts every ratio in (0, 1), so the product needs no logarithms.  The ratios
+    are formed on the levels scaled by 2^-e (e the frexp exponent of omega_max),
+    which keeps their bits and every difference below 2; lambda is returned
+    unscaled.  The weights come normalized to unit sum; a weight that
+    underflows to zero raises ReconstructionUnstableError.
     """
     omega = spectrum.values
     if omega.size % 2 == 0:
         raise ValueError("the two-sector inverse needs an odd number of levels")
-    lam, mu = omega[::2], omega[1::2]
+    scaled = np.ldexp(omega, -np.frexp(spectrum.omega_max)[1])
+    lam, mu = scaled[::2], scaled[1::2]
     n = lam.size
-    # an overflowing difference gives inf / inf = nan, caught with the underflow below
-    with np.errstate(over="ignore", invalid="ignore"):
-        # row k: lambda_k - lambda_j over j != k, ascending, which is j + [j >= k] for mu_j
-        gaps = (lam[:, None] - lam[None, :])[~np.eye(n, dtype=bool)].reshape(n, n - 1)
-        z2 = np.prod((lam[:, None] - mu[None, :]) / gaps, axis=1)
+    # row k: lambda_k - lambda_j over j != k, ascending, which is j + [j >= k] for mu_j
+    gaps = (lam[:, None] - lam[None, :])[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+    z2 = np.prod((lam[:, None] - mu[None, :]) / gaps, axis=1)
     if not np.all(z2 > 0):
-        raise ReconstructionUnstableError(
-            "symmetric-sector weights leave the float range "
-            "(a weight underflows to zero or a level difference overflows)"
-        )
-    return lam, z2 / z2.sum()
+        raise ReconstructionUnstableError("a symmetric-sector weight underflows to zero")
+    return omega[::2], z2 / z2.sum()
 
 
 def reconstruct_couplings(spectrum: Spectrum) -> CouplingSet:
@@ -127,9 +125,9 @@ def reconstruct_couplings(spectrum: Spectrum) -> CouplingSet:
 
     Raises ReconstructionUnstableError, carrying the 1-based chain bond index
     (the left one of its mirror pair), when a squared off-diagonal coefficient
-    falls below BREAKDOWN_TOLERANCE * omega_max**2.  The recursion runs on
-    levels scaled by a power of two, so the result does not depend on the
-    energy scale.  `quadratic` at N = 4001 stops there, at its end bond
+    falls below BREAKDOWN_TOLERANCE * omega_max**2.  The weights and the recursion
+    run on levels scaled by a power of two, so the result does not depend on
+    the energy scale.  `quadratic` at N = 4001 stops there, at its end bond
     (beta^2 / omega_max^2 = 9.1e-14 for J_1).
     """
     alphas, betas = _lanczos_coefficients(*spectral_weights(spectrum))
@@ -165,7 +163,7 @@ def _lanczos_coefficients(
     Full reorthogonalization (two passes per step) keeps the basis orthonormal
     to machine precision at the chain lengths of interest.  The levels are
     scaled by 2^-e (e the frexp exponent of omega_max) and the coefficients
-    back by 2^e, both exactly, so no square leaves the float range at any
+    back by 2^e, both exactly, so beta^2 <= 1 from a unit start vector at any
     energy scale.  The recursion runs on a symmetric sector from its centre
     site outward, so a breakdown at step j (1-based) of n levels is reported
     as chain bond n - j, the left one of its mirror pair.
@@ -191,14 +189,11 @@ def _lanczos_coefficients(
             r -= betas[j - 1] * basis[j - 1]
         for _ in range(2):  # twice is enough
             r -= basis[: j + 1].T @ (basis[: j + 1] @ r)
-        with np.errstate(over="ignore"):  # an overflow to inf is caught below
-            beta_sq = float(r @ r)
-        # beta^2 / omega_max^2, dividing twice so that no intermediate overflows
+        beta_sq = float(r @ r)
         ratio = beta_sq / omega_max / omega_max
-        if not BREAKDOWN_TOLERANCE < ratio < np.inf:
+        if not BREAKDOWN_TOLERANCE < ratio:
             raise ReconstructionUnstableError(
-                f"recursion coefficient {'overflowed' if ratio == np.inf else 'collapsed'} "
-                f"at bond {n - 1 - j} (beta^2 / omega_max^2 = {ratio:.3e})",
+                f"recursion coefficient collapsed at bond {n - 1 - j} (beta^2 / omega_max^2 = {ratio:.3e})",
                 site_index=n - 1 - j,
             )
         betas[j] = np.sqrt(beta_sq)

@@ -249,7 +249,7 @@ def commensurate_adjust(
 
     try:
         timing = pst_time(spectrum)
-        return _snap(timing.odd_multipliers, float(np.pi / timing.t_pst), spectrum.n_sites), timing
+        return _snap(timing.odd_multipliers, float(np.pi / timing.t_pst)), timing
     except NotCommensurateError:
         pass
 
@@ -261,7 +261,7 @@ def commensurate_adjust(
         )
     bases = np.linspace(g_min / 3.0, g_min, int(n_candidates))
     best, multipliers = _best_base(gaps, bases)
-    snapped = _snap(multipliers, float(bases[best]), spectrum.n_sites)
+    snapped = _snap(multipliers, float(bases[best]))
     # Re-derive the timing from the snapped gaps: the rounded multipliers may
     # share a common odd factor, in which case the true base is larger.
     timing = pst_time(snapped)
@@ -293,10 +293,8 @@ def _best_base(gaps: np.ndarray, bases: np.ndarray) -> tuple[int, np.ndarray]:
     return best, multipliers
 
 
-def _snap(multipliers: np.ndarray, base: float, n_values: int) -> Spectrum:
-    """Rebuild an odd-length antisymmetric spectrum from exact odd-multiple gaps."""
+def _snap(multipliers: np.ndarray, base: float) -> Spectrum:
+    """Rebuild an odd-length antisymmetric spectrum from its exact odd-multiple gaps, one per gap."""
     m = np.asarray(multipliers, dtype=float)
-    if m.size != n_values - 1:
-        raise ValueError("need one multiplier per gap")
-    upper = base * np.cumsum(m[(n_values - 1) // 2:])
+    upper = base * np.cumsum(m[m.size // 2:])
     return Spectrum(np.concatenate([-upper[::-1], [0.0], upper]))

@@ -430,6 +430,9 @@ class TestSpeedRatio:
         ref = linear_reference_time(31, 1.0)
         assert ref == pytest.approx(np.pi * 31 / 4.0, rel=1e-12)
         assert speed_ratio(ref, 31, 1.0) == pytest.approx(1.0, rel=1e-12)
+        # finite up to the largest J_max, where 4 J_max would overflow
+        assert linear_reference_time(11, 1e308) * 1e308 == pytest.approx(np.pi * 11 / 4.0, rel=1e-12)
+        assert speed_ratio(1.0, 11, 1e308) / 1e308 == pytest.approx(4.0 / (np.pi * 11), rel=1e-12)
 
     def test_quadratic_slowdown(self, chains31):
         assert chains31["quadratic"].gamma == pytest.approx(15.4, abs=0.5)

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgError
@@ -106,28 +108,22 @@ class TestChainCommand:
         assert dq[0, 2] < dl[0, 2]
         assert dq[-1, 2] < dl[-1, 2]
 
-    @pytest.mark.parametrize("amplitude,cause", [
-        # omega_max = 1.25e308: the levels are representable, their differences are not
-        ("5e306", "level difference overflows"),
-    ], ids=["level-differences"])
-    def test_overflow_exits_3_where_spectrum_succeeds(self, tmp_path, capsys, amplitude, cause):
-        argv = ["--family", "center", "--alpha", "2", "--n", "11", "--amplitude", amplitude]
-        code, _ = run(tmp_path, "c.csv", ["chain", *argv])
-        assert code == EXIT_NUMERICAL
-        err = capsys.readouterr().err
-        assert err.startswith("error (ReconstructionUnstableError): ") and err.count("\n") == 1
-        assert cause in err
-        code, out = run(tmp_path, "s.csv", ["spectrum", *argv])
-        assert code == EXIT_OK and out.stat().st_size > 0
-
-    @pytest.mark.parametrize("amplitude", ["1e-300", "1e-170", "1e153", "1e300"])
-    def test_design_does_not_depend_on_the_amplitude(self, tmp_path, amplitude):
-        # unscaled, the recursion's squares leave the float range from 1e153 up and below about 1e-160
-        argv = ["chain", "--family", "center", "--alpha", "2", "--n", "31"]
+    @pytest.mark.parametrize("amplitude,flags", [
+        *[pytest.param(amplitude, [], id=amplitude) for amplitude in ("1e-300", "1e-170", "1e153", "1e300", "5e306", "7e306")],
+        pytest.param("3.5e306", ["--no-normalize"], id="3.5e306-no-normalize"),
+    ])
+    def test_design_does_not_depend_on_the_amplitude(self, tmp_path, amplitude, flags):
+        # the sector weights, the recursion and the reference time divide the energy
+        # scale out, so nothing leaves the float range while the spectrum is finite:
+        # omega_max = 1.75e308 at 7e306, and unscaled, the level differences overflow
+        # from 5e306, the recursion's squares from 1e153 up and below about 1e-160,
+        # and 4 J_max at 3.5e306
+        argv = ["chain", "--family", "center", "--alpha", "2", "--n", "11", *flags]
         code, out = run(tmp_path, "c.csv", [*argv, "--amplitude", amplitude])
         assert code == EXIT_OK
-        _, _, data = read_table(out)
-        np.testing.assert_allclose(data[:, 1], design_chain(31, "center", 2.0).couplings.couplings, rtol=1e-12)
+        _, columns, data = read_table(out)
+        reference = design_chain(11, "center", 2.0).couplings.couplings
+        np.testing.assert_allclose(data[:, columns.index("coupling_over_jmax")], reference, rtol=1e-12)
 
     @pytest.mark.parametrize("alpha,n_sites", [("3", "121"), ("4", "31"), ("5", "31")])
     def test_commensurate_spectrum_with_wide_gap_ratio_designs(self, tmp_path, alpha, n_sites):
@@ -147,6 +143,44 @@ class TestChainCommand:
         _, _, data = read_table(out)
         assert data.shape[0] == 2000
         assert np.all(data[:, 3] < 1e-12)
+
+
+class TestExitContract:
+    AMPLITUDES = ["1e-300", "1e-100", "1", "1e100", "1e300", "1e306", "3.5e306", "5e306", "7e306"]
+    COMMANDS = [
+        ["chain"],
+        ["chain", "--no-normalize"],
+        ["simulate", "--points-per-period", "50"],
+        ["analyze", "--window"],
+        ["ensemble", "--nav", "3", "--points-per-period", "20"],
+    ]
+
+    @pytest.mark.parametrize("family,alpha", [
+        ("center", "0.5"), ("center", "1"), ("center", "2"), ("boundary", "0.5"), ("boundary", "2"),
+    ])
+    def test_every_representable_amplitude_designs(self, capsys, family, alpha):
+        # exit 2 exactly where the spectrum itself leaves the float range, else exit 0
+        for amplitude in self.AMPLITUDES:
+            argv = ["--family", family, "--alpha", alpha, "--n", "11", "--amplitude", amplitude, "--out", os.devnull]
+            expected = main(["spectrum", *argv])
+            assert expected in (EXIT_OK, EXIT_CONFIG)
+            capsys.readouterr()
+            for command in self.COMMANDS:
+                code = main([*command, *argv])
+                err = capsys.readouterr().err
+                assert code == expected, (command, amplitude, err)
+                assert err.count("\n") == (code == EXIT_CONFIG)
+
+    @pytest.mark.parametrize("alpha,n_sites", [("4", "101"), ("4", "201"), ("5", "81")])
+    def test_a_designed_chain_simulates(self, tmp_path, alpha, n_sites):
+        # sum |P_k| - 1 is 1.6e-10, 3.5e-9 and 8.2e-10 here, within the products' own error
+        # budget (estimates 1.2e-10, 1.8e-9 and 9.1e-10) but past ORTHONORMALITY_TOL alone
+        argv = ["simulate", "--family", "boundary", "--alpha", alpha, "--n", n_sites, "--points-per-period", "50"]
+        code, out = run(tmp_path, "s.csv", argv)
+        assert code == EXIT_OK
+        _, columns, data = read_table(out)
+        assert data[50, columns.index("time_over_tpst")] == 1.0
+        assert data[50, columns.index("amplitude_abs")] > 1.0 - 1e-8
 
 
 class TestNumericalBreakdownExits3:

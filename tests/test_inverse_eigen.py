@@ -130,10 +130,11 @@ class TestReconstructCouplings:
         alphas, _ = _lanczos_coefficients(*spectral_weights(s))
         assert np.max(np.abs(alphas)) < 1e-10 * s.omega_max
 
-    @pytest.mark.parametrize("amplitude", [1e-300, 1e-170, 1e-100, 1e-12, 1e153, 1e300])
+    @pytest.mark.parametrize("amplitude", [1e-300, 1e-170, 1e-100, 1e-12, 1e153, 1e300, 5e306, 7e306])
     def test_design_is_independent_of_the_energy_scale(self, amplitude):
-        # the recursion runs on levels scaled by a power of two, so beta^2 neither
-        # overflows nor underflows at any amplitude whose level differences are finite
+        # the sector weights and the recursion run on levels scaled by a power of two,
+        # so no level difference and no beta^2 leaves the float range at any amplitude
+        # whose spectrum is finite (omega_max = 1.75e308 at 7e306)
         ref = design_chain(11, "center", 2.0).couplings.couplings
         scaled = design_chain(11, "center", 2.0, amplitude=amplitude).couplings.couplings
         np.testing.assert_allclose(scaled, ref, rtol=1e-12)
@@ -209,6 +210,10 @@ class TestCouplingSet:
         J = CouplingSet([1.0, 2.0]).scaled(0.5)
         np.testing.assert_array_equal(J.couplings, [0.5, 1.0])
         assert J.j_max == 1.0
+
+    def test_largest_coupling_keeps_finite_levels(self):
+        # halving before the symmetrization keeps +-J finite; 1e308 - (-1e308) overflows
+        np.testing.assert_array_equal(CouplingSet([1e308]).eigenvalues(), [-1e308, 1e308])
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(

@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
@@ -25,6 +25,7 @@ from pstchain.pipeline import STANDARD_FAMILIES, design_chain, design_standard, 
 from pstchain.spectra import SpectrumSpec, generate_spectrum
 
 from conftest import SEED
+from oracles import transfer_amplitude
 
 
 def _record_calls(monkeypatch, module, name):
@@ -145,6 +146,26 @@ class TestTwoSectorInverse:
         except NumericalError:
             return
         _assert_designed(chain)
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(
+        family=st.sampled_from([spectra.CENTER, spectra.BOUNDARY]),
+        alpha=st.floats(0.1, 6.0),
+        half=st.integers(1, 150),
+    )
+    @example(family=spectra.BOUNDARY, alpha=4.0, half=50)
+    @example(family=spectra.BOUNDARY, alpha=4.0, half=100)
+    @example(family=spectra.BOUNDARY, alpha=5.0, half=40)
+    def test_a_designed_chain_transfers(self, family, alpha, half):
+        # designed implies simulable: the end-to-end products pass their checks, and
+        # |f_N(t_pst)| falls short of 1 by at most 9.4e-9 over 1506 grid designs up to
+        # N = 301 (at boundary alpha = 2.94, N = 283), so 1e-7 bounds it
+        try:
+            chain = design_chain(2 * half + 1, family, alpha)
+        except NumericalError:
+            return
+        transfer = end_to_end(chain.couplings)
+        assert abs(transfer_amplitude(transfer, chain.t_pst)) >= 1.0 - 1e-7
 
 
 @pytest.mark.parametrize("error", [

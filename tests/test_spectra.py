@@ -301,11 +301,11 @@ def _one_shot_adjust(spectrum):
         ratios = gaps[None, :] / bases[:, None]
         nearest_odd = 2.0 * np.floor(ratios / 2.0) + 1.0
         best = int(np.argmin((((ratios - nearest_odd) / ratios) ** 2).sum(axis=1)))
-        spectrum = spectra._snap(nearest_odd[best].astype(int), float(bases[best]), spectrum.n_sites)
+        spectrum = spectra._snap(nearest_odd[best].astype(int), float(bases[best]))
         found = _one_shot_pst_time(spectrum)
     else:
         t_pst, multipliers = found
-        spectrum = spectra._snap(multipliers, np.pi / t_pst, spectrum.n_sites)
+        spectrum = spectra._snap(multipliers, np.pi / t_pst)
     t_pst, multipliers = found
     return t_pst, multipliers.tolist(), spectrum.values.tobytes()
 
