@@ -152,7 +152,8 @@ def window_width(
 def _window_edge(transfer, t_pst: float, a_min: float, direction: int) -> float:
     """Offset from t_pst of the edge met walking in `direction`, within [-t_pst, t_pst]."""
     excess = lambda t: _transfer_abs(transfer, t) - a_min  # noqa: E731
-    for times, amp in _walk(transfer, t_pst, direction, t_pst):
+    for times in _walk(transfer, t_pst, direction, t_pst):
+        amp = _transfer_abs(transfer, times)
         if np.any(amp < a_min):  # a block starts at t_pst or at samples found above a_min
             i = np.argmax(amp < a_min)
             return _first_fall(excess, times[i - 1 : i + 1], t_pst, origin=t_pst)
@@ -165,21 +166,29 @@ def detect_first_maximum(
     """Time and fidelity of the first local maximum of F on (0, t_end] above min_fidelity.
 
     The earliest constructive arrival, only for some chains at t_pst.  Walks
-    from t = 0 in the steps h of `_walk`; d|f_N|/dt falls from >= 0 to < 0
-    between the two samples around each maximum, the last step's too.  As
-    |f_N''| <= M2, one of them is above a_floor - M2 (h / 2)^2 / 2 for a
-    maximum above a_floor (|f_N| at min_fidelity); `_first_fall` solves those
-    brackets on d|f_N|/dt.  A maximum and minimum closer than h are not seen.
+    from t = 0 in the steps h of `_walk`, evaluating each sample once; d|f_N|/dt
+    falls from >= 0 to < 0 between the two samples around each maximum, the
+    last step's too.  As |f_N''| <= M2, for a maximum above a_floor (|f_N| at
+    min_fidelity) one is above a_floor - M2 (h / 2)^2 / 2, and one of 65 samples
+    of their bracket above a_floor - M2 (h / 128)^2 / 2; `_first_fall` solves
+    such brackets on d|f_N|/dt.  A maximum and minimum closer than h are not seen.
     """
-    lowest = _amplitude_floor(min_fidelity, "min_fidelity") - 0.5 * (0.5 * WINDOW_STEP * np.pi) ** 2
+    a_floor = _amplitude_floor(min_fidelity, "min_fidelity")
     if not 0 < t_end < np.inf:
         raise ValueError("t_end must be positive and finite")
     _require_mirrored(transfer)
-    slope = lambda t: _transfer_abs(transfer, t, slope=True)  # noqa: E731
-    for times, amp in _walk(transfer, 0.0, 1, t_end):
-        rate = slope(times)
+    lowest = a_floor - 0.5 * (0.5 * WINDOW_STEP * np.pi) ** 2
+    # The rounding slack 4 u (sigma_max t_end + N) is over twice the error of a computed
+    # |f_N| up to t_end (u sigma_k t per phase, u N per sum), so a cut maximum's F fails too.
+    slack = 4 * np.finfo(float).eps * (transfer[0][-1] * t_end + transfer[0].size)
+    cut = a_floor - 0.5 * (WINDOW_STEP * np.pi / 128) ** 2 - slack
+    slope = lambda t: _transfer_abs(transfer, t, slope=True)[1]  # noqa: E731
+    for times in _walk(transfer, 0.0, 1, t_end):
+        amp, rate = _transfer_abs(transfer, times, slope=True)
         falls = (rate[:-1] >= 0) & (rate[1:] < 0) & (np.maximum(amp[:-1], amp[1:]) >= lowest)
         for i in np.flatnonzero(falls):
+            if _transfer_abs(transfer, np.linspace(*times[i : i + 2], 65)).max() < cut:
+                continue  # the first split's grid: no maximum here reaches a_floor
             t_peak = _first_fall(slope, times[i : i + 2], t_end)
             f_peak = averaged_fidelity(_transfer_abs(transfer, np.array([t_peak]))[0])
             if f_peak > min_fidelity:
@@ -195,14 +204,14 @@ def _amplitude_floor(fidelity: float, name: str) -> float:
 
 
 def _walk(transfer, start: float, direction: int, span: float):
-    """Blocks of start + j h up to span from start in `direction`, with |f_N|; blocks share one sample."""
+    """Time blocks of start + j h up to span from start in `direction`; blocks share one sample."""
     levels, products = transfer
     step = direction * WINDOW_STEP * np.pi / np.sqrt(np.abs(products) @ levels**2)  # h; see WINDOW_STEP
     n_steps = int(np.ceil(span / abs(step)))
     for first in range(0, n_steps, PHASE_BLOCK - 1):
         times = start + step * np.arange(first, min(first + PHASE_BLOCK, n_steps + 1))
         np.clip(times, start - span, start + span, out=times)
-        yield times, _transfer_abs(transfer, times)
+        yield times
 
 
 def _first_fall(func, times: np.ndarray, t_ref: float, origin: float = 0.0):

@@ -221,7 +221,7 @@ def _require_mirrored(transfer: tuple[np.ndarray, np.ndarray]) -> None:
         raise ValueError("(levels, products) must be exactly mirrored, as end_to_end returns them")
 
 
-def _transfer_abs(transfer, times: np.ndarray, slope: bool = False) -> np.ndarray:
+def _transfer_abs(transfer, times: np.ndarray, slope: bool = False):
     """|f_N(t)| of a mirrored (levels, products) pair on a time grid, clipped at 1.
 
     With sigma_k and P_k the m = N // 2 positive levels and their products,
@@ -231,8 +231,8 @@ def _transfer_abs(transfer, times: np.ndarray, slope: bool = False) -> np.ndarra
     stays bounded on long grids, and each block's phases are turned into
     cosines or sines in place.  einsum reduces every row by itself, so a
     row's sum does not depend on its block; a BLAS matrix-vector product
-    gives a block's last rows other last bits.  With `slope`, d|f_N|/dt =
-    sign(g) g' of the real sum g is returned in its place.
+    gives a block's last rows other last bits.  With `slope`, the pair
+    (|f_N|, d|f_N|/dt = sign(g) g') of the real sum g comes from one phase sum.
     """
     levels, products = transfer
     n = levels.size
@@ -251,6 +251,6 @@ def _transfer_abs(transfer, times: np.ndarray, slope: bool = False) -> np.ndarra
     if odd:
         amp += products[m]
     if slope:
-        return np.multiply(rate, np.sign(amp), out=rate)
-    np.abs(amp, out=amp)
-    return np.minimum(amp, 1.0, out=amp)
+        np.multiply(rate, np.sign(amp), out=rate)
+    amp = np.minimum(np.abs(amp, out=amp), 1.0, out=amp)
+    return (amp, rate) if slope else amp

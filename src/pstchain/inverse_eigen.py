@@ -77,11 +77,6 @@ class CouplingSet:
         levels.setflags(write=False)
         return levels
 
-    def scaled(self, factor: float) -> "CouplingSet":
-        if not factor > 0:
-            raise ValueError("scale factor must be positive")
-        return CouplingSet(self.couplings * factor)
-
 
 def spectral_weights(spectrum: Spectrum) -> tuple[np.ndarray, np.ndarray]:
     """Levels lambda and squared centre components z^2 of the symmetric sector.

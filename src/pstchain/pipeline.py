@@ -3,7 +3,7 @@
 The standard workflow generates a spectrum family member at unit amplitude,
 snaps it commensurate if needed (the spectrum stage), solves the inverse
 eigenvalue problem, and then rescales spectrum and couplings jointly so that
-the largest coupling is exactly 1 (times rescale inversely).  A designed
+the largest coupling is 1 within an ulp (times rescale inversely).  A designed
 chain caches nothing: its coupling set keeps the levels solved for the
 verification, and no eigenvector is solved here.
 """
@@ -98,9 +98,9 @@ def design_chain(
 ) -> DesignedChain:
     """Design a PST chain for one spectrum family member.
 
-    With normalize=True (the default) the returned couplings satisfy
-    max_i J_i = 1 exactly and the spectrum and transfer time are rescaled
-    consistently.
+    With normalize=True (the default) the couplings and spectrum are
+    multiplied by 1 / J_max, so that max_i J_i = 1 within an ulp, and the
+    transfer time by J_max; a positive J_max keeps both sets valid.
     """
     spec = SpectrumSpec(
         n_sites=n_sites, family=family, exponent=exponent, amplitude=amplitude
@@ -108,8 +108,8 @@ def design_chain(
     stage = spectrum_stage(spec, base_search_tolerance)
     couplings = reconstruct_couplings(stage.spectrum)
     scale = couplings.j_max if normalize else 1.0
-    couplings = couplings.scaled(1.0 / scale)
-    spectrum = stage.spectrum.scaled(1.0 / scale)
+    couplings = CouplingSet(couplings.couplings * (1.0 / scale))
+    spectrum = Spectrum(stage.spectrum.values * (1.0 / scale))
     t_pst = stage.timing.t_pst * scale
     residual = verify_reconstruction(couplings, spectrum)
     gamma = speed_ratio(t_pst, n_sites, couplings.j_max)

@@ -102,11 +102,6 @@ class Spectrum:
     def omega_max(self) -> float:
         return float(self.values[-1])
 
-    def scaled(self, factor: float) -> "Spectrum":
-        if not factor > 0:
-            raise ValueError("scale factor must be positive")
-        return Spectrum(self.values * factor)
-
 
 @dataclass(frozen=True)
 class PstTiming:

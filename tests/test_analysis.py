@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
 
+from pstchain import analysis
 from pstchain.analysis import (
     LevelShiftStats,
     detect_first_maximum,
@@ -15,12 +16,13 @@ from pstchain.analysis import (
     window_curvature,
     window_width,
 )
-from pstchain.cli import window_table
+from pstchain.cli import EXIT_OK, main, window_table
 from pstchain.disorder import DisorderModel, perturb_couplings, run_ensemble
 from pstchain.dynamics import averaged_fidelity, diagonalize, end_to_end
 from pstchain.errors import NoEchoError, NoWindowError
 from pstchain.inverse_eigen import CouplingSet
-from pstchain.pipeline import STANDARD_FAMILIES, design_standard
+from pstchain.pipeline import STANDARD_FAMILIES, design_chain, design_standard
+from pstchain.tableio import read_table
 
 from conftest import SEED
 from oracles import transfer_amplitude
@@ -423,6 +425,34 @@ class TestDetectFirstMaximum:
         assert float(reference) == pytest.approx(fidelity, abs=1e-9)
         assert row["first_max_time"] == pytest.approx(float(root), rel=1e-13)
         assert row["first_max_fidelity"] == pytest.approx(float(reference), abs=1e-14)
+
+    def test_long_transfer_chain_command(self, tmp_path):
+        # boundary alpha = 4 at N = 61: t_pst = 2.9e6, and the first maximum, at 0.0067 t_pst,
+        # is 7e-6 above the floor; phases near 4e4 rad leave |f_N| within u sigma_max t = 9e-12
+        out = tmp_path / "w.csv"
+        argv = ["analyze", "--window", "--family", "boundary", "--alpha", "4", "--n", "61"]
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        _, columns, data = read_table(out)
+        row = dict(zip(columns, data[0]))
+        chain = design_chain(61, "boundary", 4.0)
+        root, reference = _peak_40_digits(end_to_end(chain.couplings), 19357.6407332)
+        assert row["first_max_time"] == pytest.approx(float(root), rel=1e-13)
+        assert row["first_max_fidelity"] == pytest.approx(float(reference), abs=1e-11)
+
+    def test_solves_only_candidates_that_can_pass(self, monkeypatch):
+        # 396 brackets pass the two-sample margin here; a 65-point sample of each
+        # leaves one for `_first_fall`, and each walk sample is evaluated once
+        chain = design_chain(61, "boundary", 4.0)
+        transfer = end_to_end(chain.couplings)
+        calls = {"_first_fall": 0, "_transfer_abs": 0}
+        for name in calls:
+            def counted(*args, _name=name, _func=getattr(analysis, name), **kwargs):
+                calls[_name] += 1
+                return _func(*args, **kwargs)
+            monkeypatch.setattr(analysis, name, counted)
+        detect_first_maximum(transfer, 1.05 * chain.t_pst)
+        assert calls["_first_fall"] == 1
+        assert calls["_transfer_abs"] < 500
 
 
 class TestSpeedRatio:

@@ -119,7 +119,7 @@ class TestReconstructCouplings:
         s = generate_spectrum(SpectrumSpec(15, "center", 2.0))
         J = reconstruct_couplings(s).couplings
         for c in (0.5, 2.0, 10.0):
-            Jc = reconstruct_couplings(s.scaled(c)).couplings
+            Jc = reconstruct_couplings(Spectrum(s.values * c)).couplings
             np.testing.assert_allclose(Jc, c * J, rtol=1e-12)
 
     @pytest.mark.parametrize("name", sorted(STANDARD_FAMILIES))
@@ -205,11 +205,6 @@ class TestCouplingSet:
     def test_finite_required(self, bad):
         with pytest.raises(ValueError, match="finite"):
             CouplingSet([bad, 1.0])
-
-    def test_scaled(self):
-        J = CouplingSet([1.0, 2.0]).scaled(0.5)
-        np.testing.assert_array_equal(J.couplings, [0.5, 1.0])
-        assert J.j_max == 1.0
 
     def test_largest_coupling_keeps_finite_levels(self):
         # halving before the symmetrization keeps +-J finite; 1e308 - (-1e308) overflows
